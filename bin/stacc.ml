@@ -1117,6 +1117,9 @@ let serve_cmd =
           { Service.Server.default_config with mode; queue_capacity = queue }
         in
         let server = Service.Server.create ~config ~base () in
+        (* a peer that vanishes mid-reply must cost its connection, not
+           the process: take EPIPE as an error instead of dying *)
+        Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
         let listener = Service.Net_unix.listen addr in
         Format.eprintf "stacc serve: listening on %s@."
           (match addr with

@@ -11,7 +11,10 @@
     The engine's partition and merge logic sits entirely above this
     module and treats [parallel] as a black box, so shard results —
     verdicts, audit statistics, merged traces — are identical under
-    both backends; only wall-clock behaviour differs. *)
+    both backends; only wall-clock behaviour differs.
+
+    Its only caller is {!Engine}: the decision service serves its
+    connections on the calling domain. *)
 
 val domains : bool
 (** [true] iff tasks really run on separate OCaml 5 domains. *)

@@ -6,10 +6,15 @@ let sockaddr_of = function
 
 type peer = { fd : Unix.file_descr; conn : int }
 
+(* one read buffer per listener and per client, never shared between
+   them, so listeners on different domains cannot race on it *)
+let read_buffer () = Bytes.create 65536
+
 type t = {
   addr : addr;
   listener : Unix.file_descr;
   mutable peers : peer list;
+  buf : Bytes.t;
 }
 
 let listen addr =
@@ -23,7 +28,7 @@ let listen addr =
   | Unix_path _ -> ());
   Unix.bind fd (sockaddr_of addr);
   Unix.listen fd 64;
-  { addr; listener = fd; peers = [] }
+  { addr; listener = fd; peers = []; buf = read_buffer () }
 
 let write_all fd s =
   let b = Bytes.of_string s in
@@ -33,13 +38,15 @@ let write_all fd s =
     off := !off + Unix.write fd b !off (n - !off)
   done
 
-let read_chunk fd =
-  let buf = Bytes.create 65536 in
+(* [None] once the peer is gone: EOF, or a reset treated as one *)
+let rec read_chunk buf fd =
   match Unix.read fd buf 0 (Bytes.length buf) with
-  | 0 -> None (* EOF *)
+  | 0 -> None
   | n -> Some (Bytes.sub_string buf 0 n)
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
       Some ""
+  | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> None
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_chunk buf fd
 
 let step t ~server ~timeout =
   let fds = t.listener :: List.map (fun p -> p.fd) t.peers in
@@ -48,25 +55,27 @@ let step t ~server ~timeout =
   in
   (* accept first so a connect+send in the same pump gets served *)
   if List.mem t.listener ready then begin
-    let rec accept_all () =
+    (* newest first, reversed once so the peer list keeps accept order
+       and is copied once per pump rather than once per accept *)
+    let rec accept_all acc =
       match Unix.accept t.listener with
       | fd, _ ->
           Unix.set_nonblock fd;
-          t.peers <- t.peers @ [ { fd; conn = Server.open_conn server } ];
-          accept_all ()
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+          accept_all ({ fd; conn = Server.open_conn server } :: acc)
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> acc
     in
     Unix.set_nonblock t.listener;
-    accept_all ()
+    t.peers <- t.peers @ List.rev (accept_all [])
   end;
-  let eof = ref [] in
+  (* peers lost to EOF, a reset or a broken pipe *)
+  let lost = ref [] in
   let batch =
     List.filter_map
       (fun p ->
         if List.mem p.fd ready then
-          match read_chunk p.fd with
+          match read_chunk t.buf p.fd with
           | None ->
-              eof := p :: !eof;
+              lost := p :: !lost;
               None
           | Some "" -> None
           | Some bytes -> Some (p, bytes)
@@ -74,14 +83,17 @@ let step t ~server ~timeout =
       t.peers
   in
   let replies = Server.feed_batch server (List.map (fun (p, b) -> (p.conn, b)) batch) in
-  let fd_of_conn = List.map (fun (p, _) -> (p.conn, p.fd)) batch in
-  List.iter
-    (fun (conn, out) ->
-      if String.length out > 0 then write_all (List.assoc conn fd_of_conn) out)
-    replies;
-  (* disconnect EOF'd peers and peers the server killed fail-closed *)
+  (* one reply entry per batch peer, in batch order *)
+  List.iter2
+    (fun (p, _) (_, out) ->
+      if String.length out > 0 then
+        try write_all p.fd out
+        with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
+          lost := p :: !lost)
+    batch replies;
+  (* disconnect lost peers and peers the server killed fail-closed *)
   let gone p =
-    List.memq p !eof
+    List.memq p !lost
     || (not (Server.conn_alive server ~conn:p.conn))
        && List.exists (fun (q, _) -> q == p) batch
   in
@@ -113,7 +125,7 @@ let shutdown t =
   | _ -> ()
 
 module Client = struct
-  type t = { fd : Unix.file_descr; decoder : Frame.Decoder.t }
+  type t = { fd : Unix.file_descr; decoder : Frame.Decoder.t; buf : Bytes.t }
 
   let connect addr =
     let domain =
@@ -121,7 +133,7 @@ module Client = struct
     in
     let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
     Unix.connect fd (sockaddr_of addr);
-    { fd; decoder = Frame.Decoder.create () }
+    { fd; decoder = Frame.Decoder.create (); buf = read_buffer () }
 
   let send t req = write_all t.fd (Frame.encode (Protocol.encode_request req))
 
@@ -143,7 +155,7 @@ module Client = struct
       match Unix.select [ t.fd ] [] [] 0.0 with
       | [], _, _ -> ()
       | _ -> (
-          match read_chunk t.fd with
+          match read_chunk t.buf t.fd with
           | None | Some "" -> ()
           | Some bytes ->
               Frame.Decoder.feed t.decoder bytes;
@@ -169,7 +181,7 @@ module Client = struct
           match Unix.select [ t.fd ] [] [] 5.0 with
           | [], _, _ -> failwith "Client.request: timed out"
           | _ -> (
-              match read_chunk t.fd with
+              match read_chunk t.buf t.fd with
               | None -> failwith "Client.request: connection closed"
               | Some "" -> loop ()
               | Some bytes ->

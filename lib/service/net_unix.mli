@@ -23,7 +23,11 @@ val step : t -> server:Server.t -> timeout:float -> int
     pending connections, read every ready peer, feed the server, write
     replies.  Returns the number of peers that produced bytes.  Peers
     whose connection died fail-closed (and EOF'd peers) are
-    disconnected after their replies are flushed. *)
+    disconnected after their replies are flushed; a peer that resets,
+    or whose reply write fails with [EPIPE] or [ECONNRESET], is
+    disconnected without affecting the others.  A process serving
+    sockets should ignore [SIGPIPE] so such a write fails instead of
+    killing it. *)
 
 val serve : t -> server:Server.t -> ?max_requests:int -> unit -> unit
 (** Pump until [max_requests] requests have executed (forever when

@@ -257,34 +257,8 @@ let feed_batch t items =
           Hashtbl.replace groups conn (ref [ bytes ]);
           order := conn :: !order)
     items;
-  let order = Array.of_list (List.rev !order) in
-  let n = Array.length order in
-  if n = 0 then []
-  else begin
-    let bytes_of conn =
-      String.concat "" (List.rev !(Hashtbl.find groups conn))
-    in
-    (* connections are isolated clones, so cross-connection fan-out is
-       shard-safe; bundle them so we never spawn more domains than the
-       backend recommends *)
-    let workers = max 1 (min n (Parallel.Backend.recommended ())) in
-    let tasks =
-      Array.init workers (fun w () ->
-          let acc = ref [] in
-          let i = ref w in
-          while !i < n do
-            let conn = order.(!i) in
-            acc := (conn, feed t ~conn (bytes_of conn)) :: !acc;
-            i := !i + workers
-          done;
-          List.rev !acc)
-    in
-    let per_worker = Parallel.Backend.parallel tasks in
-    (* stitch the strided results back into first-appearance order *)
-    let by_conn = Hashtbl.create 8 in
-    Array.iter
-      (fun results ->
-        List.iter (fun (conn, out) -> Hashtbl.replace by_conn conn out) results)
-      per_worker;
-    Array.to_list (Array.map (fun conn -> (conn, Hashtbl.find by_conn conn)) order)
-  end
+  List.map
+    (fun conn ->
+      let bytes = String.concat "" (List.rev !(Hashtbl.find groups conn)) in
+      (conn, feed t ~conn bytes))
+    (List.rev !order)

@@ -55,12 +55,11 @@ val feed : t -> conn:int -> string -> string
     dead connections produce [""]. *)
 
 val feed_batch : t -> (int * string) list -> (int * string) list
-(** [feed] for several connections at once, fanned out across domains
-    with {!Parallel.Backend.parallel} (connections are isolated clones,
-    so this is the same shard-safety argument as the parallel engine).
-    Byte chunks for the same connection keep their list order; the
+(** [feed] for several connections at once, on the calling domain.
+    Byte chunks for the same connection are concatenated in list order
+    and fed as one call, connections in first-appearance order; the
     result has one [(conn, reply_bytes)] entry per distinct connection,
-    in first-appearance order. *)
+    in that same order. *)
 
 val executed : t -> int
 (** Requests executed over the server's lifetime. *)

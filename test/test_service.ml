@@ -464,6 +464,136 @@ let test_unix_transport () =
       | _ -> Alcotest.fail "check not answered over unix socket");
       Net_unix.Client.close client)
 
+(* A raw peer on the listener's socket path: nonblocking, so a burst
+   larger than the socket buffer is written a piece per server turn
+   instead of blocking the one thread that also runs the server. *)
+let raw_connect path =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX path);
+  Unix.set_nonblock fd;
+  fd
+
+let raw_write fd s off =
+  match Unix.write_substring fd s off (String.length s - off) with
+  | n -> off + n
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> off
+
+(* [Net_unix.Client.drain] for a raw peer *)
+let raw_drain fd dec =
+  let buf = Bytes.create 4096 in
+  let rec read () =
+    match Unix.read fd buf 0 (Bytes.length buf) with
+    | 0 -> ()
+    | n ->
+        Frame.Decoder.feed dec (Bytes.sub_string buf 0 n);
+        read ()
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+  in
+  read ();
+  let rec decode acc =
+    match Frame.Decoder.next dec with
+    | Ok (Some payload) -> (
+        match Protocol.decode_reply payload with
+        | Ok r -> decode (r :: acc)
+        | Error e -> Alcotest.failf "reply decode: %s" (Protocol.describe e))
+    | Ok None -> List.rev acc
+    | Error e -> Alcotest.failf "reply framing: %s" e
+  in
+  decode []
+
+(* Close with SO_LINGER 0 while a reply sits unread: a TCP peer sends
+   RST; a Unix-domain peer leaves the server's end with ECONNRESET
+   pending and EPIPE on any write. *)
+let reset fd =
+  Unix.setsockopt_optint fd Unix.SO_LINGER (Some 0);
+  Unix.close fd
+
+let is_direct = function Protocol.Event _ -> false | _ -> true
+
+(* Script connections 0 and 1 are closed-loop [Net_unix.Client]s (a
+   mobile object blocks on its verdict); connection 2 sends its whole
+   share of the script as one pre-framed burst over 64 KiB, so frames
+   straddle the listener's reads.  Two more peers reset mid-stream:
+   one with a request in flight (its reply write fails), one idle (its
+   read fails).  The server must survive both, drop exactly those two,
+   and every scripted reply stream must render byte-identical to
+   [Script.drive_direct]. *)
+let test_unix_burst_and_reset () =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let base = Script.base_system () in
+  let script = Script.generate ~conns:3 ~requests:9000 ~seed:12 () in
+  let requests_of c =
+    List.filter_map
+      (fun (e : Script.entry) -> if e.conn = c then Some e.req else None)
+      script
+  in
+  let path = Filename.temp_file "stacc_burst" ".sock" in
+  let addr = Net_unix.Unix_path path in
+  let listener = Net_unix.listen addr in
+  let config = { Server.default_config with queue_capacity = max_int } in
+  let server = Server.create ~config ~base () in
+  Fun.protect ~finally:(fun () -> Net_unix.shutdown listener) (fun () ->
+      (* accept order = connect order = server conn ids 0..4 *)
+      let clients = Array.init 2 (fun _ -> Net_unix.Client.connect addr) in
+      let burst_fd = raw_connect path in
+      let busy_fd = raw_connect path and idle_fd = raw_connect path in
+      let burst = String.concat "" (List.map frame_req (requests_of 2)) in
+      Alcotest.(check bool) "burst spans several reads" true
+        (String.length burst > 65536);
+      let burst_dec = Frame.Decoder.create () in
+      let drain =
+        [|
+          (fun () -> Net_unix.Client.drain clients.(0));
+          (fun () -> Net_unix.Client.drain clients.(1));
+          (fun () -> raw_drain burst_fd burst_dec);
+        |]
+      in
+      let todo = Array.init 2 (fun c -> ref (requests_of c)) in
+      let pending = Array.make 2 false and burst_off = ref 0 in
+      let got = Array.make 3 [] in
+      let unanswered = Array.init 3 (fun c -> List.length (requests_of c)) in
+      let ping = frame_req Ping in
+      ignore (raw_write busy_fd ping 0 + raw_write idle_fd ping 0);
+      let steps = ref 0 and multi = ref 0 in
+      while Array.exists (fun n -> n > 0) unanswered do
+        incr steps;
+        if !steps > 100_000 then Alcotest.fail "socket exchange stalled";
+        Array.iteri
+          (fun c client ->
+            match !(todo.(c)) with
+            | req :: rest when not pending.(c) ->
+                Net_unix.Client.send client req;
+                todo.(c) := rest;
+                pending.(c) <- true
+            | _ -> ())
+          clients;
+        burst_off := raw_write burst_fd burst !burst_off;
+        if !steps = 200 then begin
+          (* mid-stream: the busy peer's ping is read, answered, and the
+             write fails *)
+          ignore (raw_write busy_fd ping 0);
+          reset busy_fd;
+          reset idle_fd
+        end;
+        if Net_unix.step listener ~server ~timeout:0.05 >= 2 then incr multi;
+        Array.iteri
+          (fun c drain ->
+            let replies = drain () in
+            let answered = List.length (List.filter is_direct replies) in
+            unanswered.(c) <- unanswered.(c) - answered;
+            if c < 2 && answered > 0 then pending.(c) <- false;
+            got.(c) <- List.rev_append replies got.(c))
+          drain
+      done;
+      Alcotest.(check bool) "clients shared a step" true (!multi > 0);
+      Alcotest.(check bool) "reset peers dropped" false
+        (Server.conn_alive server ~conn:3 || Server.conn_alive server ~conn:4);
+      Alcotest.(check string) "socket replies = drive_direct"
+        (Script.render (Script.drive_direct ~base script))
+        (Script.render (List.init 3 (fun c -> (c, List.rev got.(c)))));
+      Array.iter Net_unix.Client.close clients;
+      Unix.close burst_fd)
+
 (* --- normalized CLI exit codes (PR 8 satellite) --- *)
 
 let stacc args =
@@ -532,7 +662,11 @@ let () =
             test_lossy_transport_deterministic;
         ] );
       ( "transport",
-        [ Alcotest.test_case "unix socket smoke" `Quick test_unix_transport ] );
+        [
+          Alcotest.test_case "unix socket smoke" `Quick test_unix_transport;
+          Alcotest.test_case "burst and resets = drive_direct" `Quick
+            test_unix_burst_and_reset;
+        ] );
       ( "cli",
         [
           Alcotest.test_case "bad usage exits 2" `Quick
