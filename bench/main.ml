@@ -382,11 +382,17 @@ let e11_tests =
 (* ------------------------------------------------------------------ *)
 (* E13 — decision fast path: check latency vs coalition size.  The
    [Naive] mode is the seed's linear path (binding scan + companion
-   fold over every object in the coalition); [Indexed] resolves
-   bindings through Binding_index, companions through team rosters and
-   repeat decisions through the per-monitor verdict cache.  The naive
-   curve should grow linearly with the object count, the indexed one
+   fold over every object in the coalition); [Lazy], the production
+   path, resolves bindings through Binding_index, companions through
+   team rosters and constraints through memoized residuals.  The naive
+   curve should grow linearly with the object count, the lazy one
    should stay flat.                                                   *)
+
+let mode_name = function
+  | Coordinated.System.Naive -> "naive"
+  | Coordinated.System.Lazy -> "lazy"
+
+let modes = [ Coordinated.System.Naive; Coordinated.System.Lazy ]
 
 let e13_tests =
   let policy () =
@@ -435,11 +441,6 @@ let e13_tests =
       Coordinated.System.check control ~session ~object_id:"o0" ~program
         ~time:(Q.of_int !t) access
   in
-  let mode_name = function
-    | Coordinated.System.Naive -> "naive"
-    | Coordinated.System.Indexed -> "indexed"
-    | Coordinated.System.Lazy -> "lazy"
-  in
   Test.make_grouped ~name:"E13-decision-fastpath"
     (List.concat_map
        (fun objects ->
@@ -449,11 +450,7 @@ let e13_tests =
                ~name:
                  (Printf.sprintf "%s,objects=%04d" (mode_name mode) objects)
                (Staged.stage (make ~mode ~objects)))
-           [
-             Coordinated.System.Naive;
-             Coordinated.System.Indexed;
-             Coordinated.System.Lazy;
-           ])
+           modes)
        [ 16; 64; 256; 1024 ])
 
 (* ------------------------------------------------------------------ *)
@@ -541,8 +538,8 @@ let e16_tests =
 (* E14 — per-stage decision latency through the observability spine.
    The E13 workload (16 bindings, one relevant; coalition in teams of
    8) re-run with a real-clock trace bus and an [Obs.Stats] sink
-   subscribed: every check emits rbac/spatial/temporal stage spans and
-   cache probes, and the histograms answer {e where} a decision spends
+   subscribed: every check emits rbac/spatial/temporal stage spans, and
+   the histograms answer {e where} a decision spends
    its time — not just how long it takes end to end.  Not a Bechamel
    group: the spans themselves are the measurement.                    *)
 
@@ -592,11 +589,6 @@ let e14_report () =
     done;
     stats
   in
-  let mode_name = function
-    | Coordinated.System.Naive -> "naive"
-    | Coordinated.System.Indexed -> "indexed"
-    | Coordinated.System.Lazy -> "lazy"
-  in
   List.iter
     (fun mode ->
       List.iter
@@ -606,7 +598,7 @@ let e14_report () =
             (mode_name mode) objects;
           Format.printf "%a@." Obs.Stats.pp stats)
         [ 16; 1024 ])
-    [ Coordinated.System.Naive; Coordinated.System.Indexed ]
+    modes
 
 (* ------------------------------------------------------------------ *)
 (* E15 — resilience under deterministic chaos.  The Figure-1 coalition
@@ -618,11 +610,6 @@ let e14_report () =
    deterministic end-to-end run, and the counters are the measurement. *)
 
 let e15_report () =
-  let mode_name = function
-    | Coordinated.System.Naive -> "naive"
-    | Coordinated.System.Indexed -> "indexed"
-    | Coordinated.System.Lazy -> "lazy"
-  in
   Printf.printf
     "  %-8s %-10s %7s %8s %7s %7s %7s %7s %7s %9s %10s\n%!" "mode" "plan"
     "events" "granted" "unavail" "faults" "retries" "gaveup" "ampl"
@@ -659,7 +646,7 @@ let e15_report () =
             (Q.to_string m.Naplet.Metrics.end_time)
             (wall_ns /. 1e6))
         Fault.Plan.intensity_names)
-    [ Coordinated.System.Naive; Coordinated.System.Indexed ]
+    modes
 
 (* ------------------------------------------------------------------ *)
 (* E17 — sharded parallel decision engine.  A workload of generated
@@ -1085,23 +1072,23 @@ let e21_report () =
    divergence exits 1; the latency rows below only count if the gate
    passes.
 
-   Then three latency rows, all three modes side by side:
+   Then three latency rows, both modes side by side:
    - warm hit: the E13 steady state — a Program-scope spatial
-     constraint whose verdict the indexed path caches; the lazy path
-     must keep up without carrying a verdict cache at all;
+     constraint, answered from the slot's cached program check;
    - warm miss: a Performed-scope constraint granted on every check,
-     so every grant moves the history epoch and invalidates the
-     indexed verdict cache — the eager paths re-run trace
-     satisfaction over the whole growing history, the lazy machine
-     folds exactly one derivative step per recorded proof;
-   - cold: the first decision on a fresh coalition — the eager paths
-     pay subset construction for activation feasibility, the lazy
+     so the history grows on every decision — the naive path re-runs
+     trace satisfaction over the whole growing history, the lazy
+     machine folds exactly one derivative step per recorded proof;
+   - cold: the first decision on a fresh coalition — the naive path
+     pays subset construction for activation feasibility, the lazy
      machine interns a couple of residuals and answers from
      nullability.
 
-   Last the allocation gate: a burst of direct, uninstrumented
+   Last the allocation gates: bursts of direct, uninstrumented
    steady-state [Decision.decide_lazy] calls must allocate ~0 minor
-   words per decision (exits 1 above 1.0 words/decision).
+   words per decision (exits 1 above 1.0 words/decision) — once on a
+   Program-scope binding, once on a Performed-scope binding whose
+   history grows by a selected or an inert proof before every call.
 
    Env knobs for CI: [E22_GATE_COUNT] sizes the differential gate
    (default 300); [E22_CHECKS] sizes each latency row (default 4000);
@@ -1174,7 +1161,7 @@ let e22_report () =
   let access = Sral.Access.read "db" ~at:"s1" in
   let program = Sral.Parser.program "read cfg @ s1; read db @ s1" in
   let hit_bindings =
-    (* Program-scope constraint: verdict cacheable, history-independent *)
+    (* Program-scope constraint: history-independent *)
     [
       Coordinated.Perm_binding.make
         ~spatial:
@@ -1183,8 +1170,8 @@ let e22_report () =
     ]
   in
   let miss_bindings =
-    (* Performed-scope and granted on every check: each grant moves the
-       history epoch, so the indexed verdict cache never survives *)
+    (* Performed-scope and granted on every check: the history grows
+       with every decision *)
     [
       Coordinated.Perm_binding.make
         ~spatial:(Srac.Formula.at_least 1 (Srac.Selector.Resource "db"))
@@ -1207,27 +1194,17 @@ let e22_report () =
       Coordinated.System.check control ~session ~object_id:"o0" ~program
         ~time:(Q.of_int !t) access
   in
-  let modes =
-    [
-      ("naive", Coordinated.System.Naive);
-      ("indexed", Coordinated.System.Indexed);
-      ("lazy", Coordinated.System.Lazy);
-    ]
-  in
   let per_check ns = ns /. float_of_int checks in
   let row name per_mode =
-    let cells = List.map (fun (_, m) -> per_mode m) modes in
-    (match cells with
-    | [ naive; indexed; lzy ] ->
-        Printf.printf "  %-22s %9.0f ns %9.0f ns %9.0f ns %10.2fx\n%!" name
-          naive indexed lzy (indexed /. lzy)
-    | _ -> assert false);
-    cells
+    match List.map per_mode modes with
+    | [ naive; lzy ] ->
+        Printf.printf "  %-22s %9.0f ns %9.0f ns %10.2fx\n%!" name naive lzy
+          (naive /. lzy)
+    | _ -> assert false
   in
-  Printf.printf "  %-22s %12s %12s %12s %10s   (%d checks/row)\n%!" ""
-    "naive" "indexed" "lazy" "idx/lazy" checks;
-  let hit =
-    row "warm hit" (fun mode ->
+  Printf.printf "  %-22s %12s %12s %10s   (%d checks/row)\n%!" "" "naive"
+    "lazy" "naive/lazy" checks;
+  row "warm hit" (fun mode ->
         let check = fresh ~mode ~bindings:hit_bindings in
         for _ = 1 to 64 do
           ignore (check ())
@@ -1238,10 +1215,8 @@ let e22_report () =
                 ignore (check ())
               done)
         in
-        per_check ns)
-  in
-  let _miss =
-    row "warm miss (history)" (fun mode ->
+        per_check ns);
+  row "warm miss (history)" (fun mode ->
         let check = fresh ~mode ~bindings:miss_bindings in
         ignore (check ());
         let _, ns =
@@ -1250,11 +1225,9 @@ let e22_report () =
                 ignore (check ())
               done)
         in
-        per_check ns)
-  in
+        per_check ns);
   let cold_rounds = min checks 400 in
-  let cold =
-    row "cold (first decision)" (fun mode ->
+  row "cold (first decision)" (fun mode ->
         (* warm the allocator/caches shared across rounds *)
         ignore (fresh ~mode ~bindings:hit_bindings ());
         let _, ns =
@@ -1263,41 +1236,66 @@ let e22_report () =
                 ignore (fresh ~mode ~bindings:hit_bindings ())
               done)
         in
-        ns /. float_of_int cold_rounds)
-  in
-  (match (hit, cold) with
-  | [ _; idx_hit; lazy_hit ], [ _; idx_cold; lazy_cold ] ->
-      Printf.printf
-        "  hit: lazy/indexed = %.2f   cold: lazy/indexed = %.2f\n%!"
-        (lazy_hit /. idx_hit) (lazy_cold /. idx_cold)
-  | _ -> ());
-  (* 3. allocation gate: the direct steady-state path, no bus, no
-     recording — two warm calls settle the residual arena, then the
-     burst must stay out of the minor heap *)
+        ns /. float_of_int cold_rounds);
+  (* 3. allocation gates: the direct steady-state path, no bus — two
+     warm calls settle the residual arena, then the burst must stay out
+     of the minor heap *)
   let session = Rbac.Session.create (policy ()) ~user:"u" in
   Rbac.Session.activate session "r";
-  let monitor = Coordinated.Monitor.create ~object_id:"o0" in
-  Coordinated.Monitor.record_arrival monitor ~server:"s1" ~time:Q.zero;
-  let applicable = hit_bindings in
-  let t = Q.one in
-  let decide () =
-    Coordinated.Decision.decide_lazy ~session ~monitor ~applicable
-      ~team_version:0 ~team_history:0 ~program ~time:t access
-  in
-  ignore (decide ());
-  ignore (decide ());
   let burst = 100_000 in
+  let gate name per_decision =
+    Printf.printf "  allocation (%s): %.4f minor words/decision over %d calls\n%!"
+      name per_decision burst;
+    if per_decision > 1.0 then begin
+      Printf.printf "  allocation gate FAILED (budget: 1.0 words/decision)\n%!";
+      exit 1
+    end
+  in
+  let decider bindings =
+    let monitor = Coordinated.Monitor.create ~object_id:"o0" in
+    Coordinated.Monitor.record_arrival monitor ~server:"s1" ~time:Q.zero;
+    let decide access =
+      Coordinated.Decision.decide_lazy ~session ~monitor ~applicable:bindings
+        ~program ~time:Q.one access
+    in
+    ignore (decide access);
+    ignore (decide access);
+    (monitor, decide)
+  in
+  (* (a) Program scope, nothing recorded *)
+  let _, decide = decider hit_bindings in
   let w0 = Gc.minor_words () in
   for _ = 1 to burst do
-    ignore (decide ())
+    ignore (decide access)
   done;
-  let per_decision = (Gc.minor_words () -. w0) /. float_of_int burst in
-  Printf.printf "  allocation: %.4f minor words/decision over %d calls\n%!"
-    per_decision burst;
-  if per_decision > 1.0 then begin
-    Printf.printf "  allocation gate FAILED (budget: 1.0 words/decision)\n%!";
-    exit 1
-  end
+  gate "program scope" ((Gc.minor_words () -. w0) /. float_of_int burst);
+  (* (b) Performed scope over a history that grows by one proof per
+     decision, alternately selected (folded into the residual) and
+     inert (skipped); the probed access is inert too.  Recording
+     allocates the proof, so only the decision is metered. *)
+  let monitor, decide = decider miss_bindings in
+  let cfg = Sral.Access.read "cfg" ~at:"s1" in
+  (* one proof of each kind first, so the burst starts warm *)
+  List.iter
+    (fun a ->
+      Coordinated.Monitor.record_access monitor a ~time:Q.one;
+      ignore (decide cfg))
+    [ access; cfg ];
+  let calib =
+    let w = Gc.minor_words () in
+    Gc.minor_words () -. w
+  in
+  let words = Float.Array.make 1 0. in
+  for i = 1 to burst do
+    Coordinated.Monitor.record_access monitor
+      (if i land 1 = 0 then access else cfg)
+      ~time:Q.one;
+    let w = Gc.minor_words () in
+    ignore (decide cfg);
+    Float.Array.set words 0
+      (Float.Array.get words 0 +. (Gc.minor_words () -. w -. calib))
+  done;
+  gate "growing history" (Float.Array.get words 0 /. float_of_int burst)
 
 (* ------------------------------------------------------------------ *)
 (* Runner                                                               *)

@@ -67,14 +67,19 @@ let q_conv =
 let mode_conv =
   Arg.enum
     [
-      ("indexed", Coordinated.System.Indexed);
-      ("naive", Coordinated.System.Naive);
       ("lazy", Coordinated.System.Lazy);
+      ("naive", Coordinated.System.Naive);
     ]
 
 let mode_arg =
-  let doc = "Decision mode: $(b,indexed), $(b,naive) or $(b,lazy)." in
-  Arg.(value & opt mode_conv Coordinated.System.Indexed & info [ "mode" ] ~docv:"MODE" ~doc)
+  let doc =
+    "Decision mode: $(b,lazy) (the production path) or $(b,naive) (the \
+     reference oracle)."
+  in
+  Arg.(
+    value
+    & opt mode_conv Coordinated.System.Lazy
+    & info [ "mode" ] ~docv:"lazy|naive" ~doc)
 
 let exit_status_man lines = `S Manpage.s_exit_status :: List.map (fun p -> `P p) lines
 

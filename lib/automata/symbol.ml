@@ -1,11 +1,6 @@
 type t = int
 
-module Access_tbl = Hashtbl.Make (struct
-  type t = Sral.Access.t
-
-  let equal = Sral.Access.equal
-  let hash = Sral.Access.hash
-end)
+module Access_tbl = Sral.Access.Tbl
 
 type table = {
   ids : int Access_tbl.t;

@@ -4,19 +4,28 @@
    (wildcards included), so a lookup probes at most the 8 combinations
    of concrete-vs-"*" per field instead of scanning every binding. *)
 
+(* a resolved [applicable] list, valid while [version] is unchanged *)
+type memo = { mutable stamp : int; mutable result : Perm_binding.t list }
+
 type t = {
   mutable slots : Perm_binding.t option array;
   mutable len : int;
   buckets : (string, int list ref) Hashtbl.t;  (* reverse insertion order *)
+  memo : memo Sral.Access.Tbl.t;
 }
 
 let create () =
-  { slots = Array.make 8 None; len = 0; buckets = Hashtbl.create 16 }
+  {
+    slots = Array.make 8 None;
+    len = 0;
+    buckets = Hashtbl.create 16;
+    memo = Sral.Access.Tbl.create 16;
+  }
 
 let length t = t.len
 
 (* The store only grows, so the length doubles as a monotone version
-   stamp for decision caches. *)
+   stamp for the per-access memo. *)
 let version t = t.len
 
 let bucket_key ~operation ~resource ~server =
@@ -60,7 +69,7 @@ let of_list bindings =
 let to_list t =
   List.filter_map (fun i -> t.slots.(i)) (List.init t.len Fun.id)
 
-let applicable t (a : Sral.Access.t) =
+let resolve t (a : Sral.Access.t) =
   let operation = Sral.Access.operation_name a.Sral.Access.op in
   let resource, server =
     (* same first-'@' split the matcher applies to the access target *)
@@ -93,3 +102,19 @@ let applicable t (a : Sral.Access.t) =
   (* buckets are a conservative over-approximation (string collisions in
      exotic resource names are possible); the matcher has the last word *)
   List.filter (fun b -> Perm_binding.applies_to b a) candidates
+
+(* Bucket probing builds 8 key strings and sorts; the answer depends
+   only on the access and the store's contents, so it is resolved once
+   per access and store version. *)
+let applicable t a =
+  match Sral.Access.Tbl.find t.memo a with
+  | m when m.stamp = t.len -> m.result
+  | m ->
+      let result = resolve t a in
+      m.stamp <- t.len;
+      m.result <- result;
+      result
+  | exception Not_found ->
+      let result = resolve t a in
+      Sral.Access.Tbl.add t.memo a { stamp = t.len; result };
+      result

@@ -23,12 +23,14 @@ val length : t -> int
 
 val version : t -> int
 (** Monotone store stamp (the store is append-only, so the length
-    serves): equal versions ⟹ identical contents.  Used as the
-    [bindings] component of {!Monitor.decision_stamp}. *)
+    serves): equal versions ⟹ identical contents.  {!applicable}'s
+    per-access memo is stamped with it. *)
 
 val to_list : t -> Perm_binding.t list
 (** All bindings in insertion order. *)
 
 val applicable : t -> Sral.Access.t -> Perm_binding.t list
 (** Bindings whose permission pattern covers the access, in insertion
-    order. *)
+    order.  Memoized per access and {!version}: a repeat lookup is one
+    hashtable probe and allocates nothing.  The memo is mutable state,
+    so an index must not be shared between domains. *)

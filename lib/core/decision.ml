@@ -139,9 +139,7 @@ let refresh_activation ?(companions = []) ~session ~monitor ~bindings
     ~program ~time () =
   List.iter (refresh_one ~session ~monitor ~companions ~program ~time) bindings
 
-(* The temporal tail of the decision, in binding order.  Shared by the
-   recomputing path and the cache-hit fast path: it reads the query
-   time, so it is recomputed on every decision either way. *)
+(* The temporal tail of the decision, in binding order. *)
 let first_temporal_failure ~monitor ~time applicable =
   List.find_map
     (fun b ->
@@ -241,128 +239,21 @@ let batch ?obs ~bindings requests =
         ~monitor:r.monitor ~bindings ~program:r.program ~time:r.time r.access)
     requests
 
-(* Which cache-stamp components can affect the RBAC ∧ spatial prefix
-   for this applicable set?  Program-scope constraints never read
-   execution proofs; Performed/Both-scope ones do, and additionally
-   read companions' proofs when the proof scope is [Team]. *)
-let reads_history (b : Perm_binding.t) =
-  b.spatial <> None
-  &&
-  match b.spatial_scope with
-  | Perm_binding.Performed | Perm_binding.Both -> true
-  | Perm_binding.Program -> false
-
-let uses_history_of applicable = List.exists reads_history applicable
-
-let uses_team_of applicable =
-  List.exists
-    (fun (b : Perm_binding.t) ->
-      reads_history b && b.proof_scope = Perm_binding.Team)
-    applicable
-
-let stamp_matches (entry : Monitor.cached_decision) ~(now : Monitor.decision_stamp)
-    =
-  let s = entry.stamp in
-  s.location = now.location && s.activation = now.activation
-  && s.session = now.session && s.bindings = now.bindings
-  && ((not entry.uses_history) || s.history = now.history)
-  && ((not entry.uses_team)
-     || (s.team_version = now.team_version
-        && s.team_history = now.team_history))
-
-let decide_indexed ?obs ?(companions = []) ~session ~monitor ~applicable
-    ~bindings_version ~team_version ~team_history ~program ~time access =
-  let current_stamp () =
-    {
-      Monitor.location = Monitor.location_epoch monitor;
-      activation = Monitor.activation_epoch monitor;
-      history = Monitor.history_epoch monitor;
-      session = Rbac.Session.version session;
-      bindings = bindings_version;
-      team_version;
-      team_history;
-    }
-  in
-  let key = Sral.Access.to_string access in
-  let cached =
-    match Monitor.find_decision monitor ~key with
-    | Some entry
-      when stamp_matches entry ~now:(current_stamp ())
-           && Sral.Access.equal entry.access access
-           && Sral.Ast.equal entry.program program ->
-        Some entry
-    | _ -> None
-  in
-  (match obs with
-  | Some bus ->
-      Obs.Bus.emit bus
-        (Obs.Trace.Cache_probe
-           {
-             time;
-             object_id = Monitor.object_id monitor;
-             hit = cached <> None;
-           })
-  | None -> ());
-  match cached with
-  | Some entry -> (
-      (* replicate the naive path's clock movement: refresh_one advances
-         the monitor clock once per applicable binding (and raises on
-         backwards time), so the fast path must advance too *)
-      if applicable <> [] then Monitor.advance monitor time;
-      match entry.pre_temporal with
-      | Error reason -> Denied reason
-      | Ok () -> (
-          match
-            span ~obs ~monitor ~time Obs.Trace.Temporal Option.is_none
-              (fun () -> first_temporal_failure ~monitor ~time applicable)
-          with
-          | Some reason -> Denied reason
-          | None -> Granted))
-  | None ->
-      let verdict =
-        decide_applicable ?obs ~companions ~session ~monitor ~applicable
-          ~program ~time access
-      in
-      let pre_temporal =
-        match verdict with
-        | Granted -> Ok ()
-        | Denied ((Rbac_denied _ | Spatial_violation _) as r) -> Error r
-        (* Server_unavailable is minted by the Naplet security manager
-           before the core procedure runs, so it cannot reach this
-           recomputation; listed for exhaustiveness as transient *)
-        | Denied (Temporal_expired _ | Not_active _ | Not_arrived
-                 | Server_unavailable _) ->
-            Ok ()
-      in
-      (* stamp *after* the recomputation: refresh_one may itself bump
-         the activation epoch, and the cached entry must be valid
-         against the post-decision state *)
-      Monitor.store_decision monitor ~key
-        {
-          Monitor.stamp = current_stamp ();
-          access;
-          program;
-          uses_history = uses_history_of applicable;
-          uses_team = uses_team_of applicable;
-          pre_temporal;
-        };
-      verdict
-
 (* ------------------------------------------------------------------ *)
 (* Lazy-derivative decision path.
 
    [decide_lazy] mirrors [decide_naive]'s observable behavior —
-   verdicts, denial strings, Obs trace spans, monitor clock and epoch
-   movement — while replacing the per-decision spatial recomputation
-   with incremental Brzozowski-derivative residuals ({!Srac.Lazy_dfa})
-   and version-stamped RBAC caches, so a warm decision allocates
-   nothing.  Per binding, the monitor keeps a {!Residual.slot} holding
-   the binding's lazy machine and a cursor into the object's performed
-   history; each decision folds only the not-yet-seen proof entries
-   into the residual state, then answers grant (residual nullability
-   after the access) and activation (residual feasibility) from
-   memoized per-state bits.  Denial details fall back to the eager
-   oracle so messages stay byte-identical. *)
+   verdicts, denial strings, Obs trace spans, monitor clock and
+   activation movement — while replacing the per-decision spatial
+   recomputation with incremental Brzozowski-derivative residuals
+   ({!Srac.Lazy_dfa}) and version-stamped RBAC caches, so a warm
+   decision allocates nothing.  Per binding, the monitor keeps a
+   {!Residual.slot} holding the binding's lazy machine and a cursor into
+   the object's performed history; each decision folds only the
+   not-yet-seen proof entries into the residual state, then answers
+   grant (residual nullability after the access) and activation
+   (residual feasibility) from memoized per-state bits.  Denial details
+   fall back to the eager oracle so messages stay byte-identical. *)
 
 let get_slot ~session ~monitor (b : Perm_binding.t) =
   let store = Monitor.residuals monitor in
@@ -381,10 +272,9 @@ let get_slot ~session ~monitor (b : Perm_binding.t) =
           cell = Monitor.activation_cell monitor ~key:(Perm_binding.key b);
           own_state = 0;
           own_consumed = 0;
-          team_state = -1;
-          team_stamp_version = -1;
-          team_stamp_history = -1;
-          team_stamp_own = -1;
+          team_state = 0;
+          team_subs = [];
+          team_len = 0;
           may_session = session;
           may_version = Rbac.Session.version session;
           may_ok =
@@ -396,6 +286,9 @@ let get_slot ~session ~monitor (b : Perm_binding.t) =
       in
       Residual.Binding_tbl.add store.Residual.slots b slot;
       slot
+
+let machine_of slot =
+  match slot.Residual.machine with Some m -> m | None -> assert false
 
 (* [Session.may] rebuilds the active permission set on every call; its
    result is fully determined by the session object and its version
@@ -468,53 +361,151 @@ let rec fold_newest machine slot k (entries : Srac.Proof.entry list) =
    order is execution-time order and the cursor fold visits entries
    exactly as [Monitor.performed] would list them; [history_epoch]
    counts proofs, so it doubles as the entry count. *)
-let own_state ~monitor machine slot =
+let own_state ~monitor slot =
   let total = Monitor.history_epoch monitor in
   if slot.Residual.own_consumed < total then begin
-    fold_newest machine slot
+    fold_newest (machine_of slot) slot
       (total - slot.Residual.own_consumed)
       (Srac.Proof.rev_entries (Monitor.proofs monitor));
     slot.Residual.own_consumed <- total
   end;
   slot.Residual.own_state
 
-(* Team-scope residuals cannot be cursor-incremental (companions'
-   entries interleave by time), so the state is cached against the
-   same stamps the verdict cache uses and refolded from scratch when
-   any of them moves. *)
-let team_state ~monitor ~companions ~team_version ~team_history machine slot b
-    =
-  let own = Monitor.history_epoch monitor in
-  if
-    slot.Residual.team_state >= 0
-    && slot.Residual.team_stamp_version = team_version
-    && slot.Residual.team_stamp_history = team_history
-    && slot.Residual.team_stamp_own = own
-  then slot.Residual.team_state
-  else begin
-    let st =
-      List.fold_left
-        (fun q a -> Srac.Lazy_dfa.step_access machine q a)
-        (Srac.Lazy_dfa.start machine)
-        (history ~monitor ~companions b)
-    in
-    slot.Residual.team_state <- st;
-    slot.Residual.team_stamp_version <- team_version;
-    slot.Residual.team_stamp_history <- team_history;
-    slot.Residual.team_stamp_own <- own;
-    st
-  end
+(* Team scope reads the time-merged proofs of the requester and its
+   companions ([history]).  An inert access is a self-loop, so only
+   the entries the constraint can see matter: each member monitor
+   keeps, per Team-scope binding, the sub-history of its non-inert
+   entries, extended through a cursor on its history epoch.  The team
+   residual is a fold over the merge of those short lists, redone only
+   when one of them grew or the team changed. *)
 
-let scope_state ~monitor ~companions ~team_version ~team_history machine slot
-    (b : Perm_binding.t) =
+(* Append the non-inert ones of the [k] newest entries, oldest first. *)
+let rec scan_newest machine sub k (entries : Srac.Proof.entry list) =
+  if k > 0 then
+    match entries with
+    | [] -> ()
+    | e :: older ->
+        scan_newest machine sub (k - 1) older;
+        if not (Srac.Lazy_dfa.inert machine e.access) then Residual.push sub e
+
+let member_sub machine b m =
+  let store = Monitor.residuals m in
+  let subs =
+    match store.Residual.subs with
+    | Some subs -> subs
+    | None ->
+        let subs = Residual.Binding_tbl.create 4 in
+        store.Residual.subs <- Some subs;
+        subs
+  in
+  let sub =
+    match Residual.Binding_tbl.find subs b with
+    | sub -> sub
+    | exception Not_found ->
+        let sub = Residual.new_sub () in
+        Residual.Binding_tbl.add subs b sub;
+        sub
+  in
+  let total = Monitor.history_epoch m in
+  if sub.Residual.scanned < total then begin
+    scan_newest machine sub
+      (total - sub.Residual.scanned)
+      (Srac.Proof.rev_entries (Monitor.proofs m));
+    sub.Residual.scanned <- total
+  end;
+  sub
+
+(* The merge's next entry: the earliest head, ties to the earlier
+   member — the order [history]'s stable sort produces. *)
+let rec earliest (best : Residual.sub) = function
+  | [] -> best
+  | (s : Residual.sub) :: rest ->
+      let best =
+        if
+          s.pos < s.len
+          && (best.pos >= best.len
+             || Q.compare s.entries.(s.pos).Srac.Proof.time
+                  best.entries.(best.pos).Srac.Proof.time
+                < 0)
+        then s
+        else best
+      in
+      earliest best rest
+
+let fold_team machine subs =
+  List.iter (fun (s : Residual.sub) -> s.pos <- 0) subs;
+  let rec go q =
+    let s = earliest Residual.exhausted subs in
+    if s == Residual.exhausted then q
+    else begin
+      let e = s.entries.(s.pos) in
+      s.pos <- s.pos + 1;
+      go (Srac.Lazy_dfa.step_access machine q e.Srac.Proof.access)
+    end
+  in
+  go (Srac.Lazy_dfa.start machine)
+
+(* Same members, physically, and none of their lists grew since the
+   last fold?  Lists only grow, so equal summed lengths mean equal
+   lists. *)
+let rec team_unchanged machine b slot total prev members =
+  match (prev, members) with
+  | [], [] -> total = slot.Residual.team_len
+  | s :: prev, m :: members ->
+      let s' = member_sub machine b m in
+      s' == s
+      && team_unchanged machine b slot (total + s'.Residual.len) prev members
+  | _ -> false
+
+let same_members prev subs =
+  List.compare_lengths prev subs = 0 && List.for_all2 ( == ) prev subs
+
+(* A machine's alphabet only grows, and feasibility is answered over
+   it.  Within one team that matches the eager oracle, whose alphabet
+   is the constraint's accesses plus the team's history; but a team
+   change can drop every proof that brought a selected access in, so
+   a widened machine is replaced by a fresh one, which the refold then
+   widens by exactly the new team's selected accesses. *)
+let renew_if_widened slot (b : Perm_binding.t) machine =
+  match b.spatial with
+  | Some c
+    when Srac.Lazy_dfa.num_symbols machine
+         > List.length (Srac.Formula.accesses c) ->
+      let fresh = Srac.Lazy_dfa.create c in
+      slot.Residual.machine <- Some fresh;
+      fresh
+  | _ -> machine
+
+let team_state ~monitor ~companions slot b =
+  let machine = machine_of slot in
+  let own = member_sub machine b monitor in
+  match slot.Residual.team_subs with
+  | s :: prev
+    when s == own
+         && team_unchanged machine b slot own.Residual.len prev companions ->
+      slot.Residual.team_state
+  | previous ->
+      let subs = own :: List.map (member_sub machine b) companions in
+      let machine =
+        match previous with
+        | _ :: _ when not (same_members previous subs) ->
+            renew_if_widened slot b machine
+        | _ -> machine
+      in
+      let q = fold_team machine subs in
+      slot.Residual.team_state <- q;
+      slot.Residual.team_subs <- subs;
+      slot.Residual.team_len <-
+        List.fold_left (fun n (s : Residual.sub) -> n + s.len) 0 subs;
+      q
+
+let scope_state ~monitor ~companions slot (b : Perm_binding.t) =
   match b.proof_scope with
-  | Perm_binding.Own -> own_state ~monitor machine slot
-  | Perm_binding.Team ->
-      team_state ~monitor ~companions ~team_version ~team_history machine slot
-        b
+  | Perm_binding.Own -> own_state ~monitor slot
+  | Perm_binding.Team -> team_state ~monitor ~companions slot b
 
 let refresh_one_lazy ~session ~monitor ~companions ~program ~time
-    ~team_version ~team_history (b : Perm_binding.t) =
+    (b : Perm_binding.t) =
   let slot = get_slot ~session ~monitor b in
   let rbac_ok = slot_may_ok ~session slot b in
   let spatial_active =
@@ -524,46 +515,34 @@ let refresh_one_lazy ~session ~monitor ~companions ~program ~time
         match b.spatial_scope with
         | Perm_binding.Program | Perm_binding.Both ->
             Result.is_ok (program_ok_cached ~monitor ~program slot b c)
-        | Perm_binding.Performed -> (
-            match slot.Residual.machine with
-            | Some machine ->
-                Srac.Lazy_dfa.feasible machine
-                  (scope_state ~monitor ~companions ~team_version ~team_history
-                     machine slot b)
-            | None -> assert false))
+        | Perm_binding.Performed ->
+            let q = scope_state ~monitor ~companions slot b in
+            Srac.Lazy_dfa.feasible (machine_of slot) q)
   in
   Monitor.set_active_cell monitor slot.Residual.cell ~time
     (rbac_ok && spatial_active)
 
-let rec refresh_all_lazy ~session ~monitor ~companions ~program ~time
-    ~team_version ~team_history = function
+let rec refresh_all_lazy ~session ~monitor ~companions ~program ~time =
+  function
   | [] -> ()
   | b :: rest ->
-      refresh_one_lazy ~session ~monitor ~companions ~program ~time
-        ~team_version ~team_history b;
-      refresh_all_lazy ~session ~monitor ~companions ~program ~time
-        ~team_version ~team_history rest
+      refresh_one_lazy ~session ~monitor ~companions ~program ~time b;
+      refresh_all_lazy ~session ~monitor ~companions ~program ~time rest
 
-let performed_ok_lazy ~session ~monitor ~companions ~access ~team_version
-    ~team_history (b : Perm_binding.t) c =
+let performed_ok_lazy ~session ~monitor ~companions ~access
+    (b : Perm_binding.t) c =
   let slot = get_slot ~session ~monitor b in
-  match slot.Residual.machine with
-  | None -> assert false
-  | Some machine ->
-      let q =
-        scope_state ~monitor ~companions ~team_version ~team_history machine
-          slot b
-      in
-      if Srac.Lazy_dfa.nullable_after machine q access then Ok ()
-      else
-        (* deny: rerun the oracle so the denial detail is byte-identical
-           (and a residual false-negative can never deny a granting
-           oracle — equivalence of the grant direction is enforced by
-           the residual property tests and the differential gate) *)
-        performed_scope_ok ~monitor ~companions ~access b c
+  let q = scope_state ~monitor ~companions slot b in
+  if Srac.Lazy_dfa.nullable_after (machine_of slot) q access then Ok ()
+  else
+    (* deny: rerun the oracle so the denial detail is byte-identical
+       (and a residual false-negative can never deny a granting
+       oracle — equivalence of the grant direction is enforced by the
+       residual property tests and the differential gate) *)
+    performed_scope_ok ~monitor ~companions ~access b c
 
 let spatial_ok_lazy ~session ~monitor ~companions ~program ~access
-    ~team_version ~team_history (b : Perm_binding.t) =
+    (b : Perm_binding.t) =
   match b.spatial with
   | None -> Ok ()
   | Some c -> (
@@ -571,26 +550,22 @@ let spatial_ok_lazy ~session ~monitor ~companions ~program ~access
       match b.spatial_scope with
       | Perm_binding.Program -> program_ok_cached ~monitor ~program slot b c
       | Perm_binding.Performed ->
-          performed_ok_lazy ~session ~monitor ~companions ~access ~team_version
-            ~team_history b c
+          performed_ok_lazy ~session ~monitor ~companions ~access b c
       | Perm_binding.Both -> (
           match program_ok_cached ~monitor ~program slot b c with
-          | Ok () ->
-              performed_ok_lazy ~session ~monitor ~companions ~access
-                ~team_version ~team_history b c
+          | Ok () -> performed_ok_lazy ~session ~monitor ~companions ~access b c
           | Error _ as failure -> failure))
 
 let rec first_spatial_failure_lazy ~session ~monitor ~companions ~program
-    ~access ~team_version ~team_history = function
+    ~access = function
   | [] -> None
   | b :: rest -> (
       match
-        spatial_ok_lazy ~session ~monitor ~companions ~program ~access
-          ~team_version ~team_history b
+        spatial_ok_lazy ~session ~monitor ~companions ~program ~access b
       with
       | Ok () ->
           first_spatial_failure_lazy ~session ~monitor ~companions ~program
-            ~access ~team_version ~team_history rest
+            ~access rest
       | Error detail ->
           Some (Spatial_violation { binding = Perm_binding.key b; detail }))
 
@@ -618,8 +593,8 @@ let rec first_temporal_failure_lazy ~session ~monitor ~time = function
       | `Expired spent ->
           Some (Temporal_expired { binding = Perm_binding.key b; spent }))
 
-let decide_lazy ?obs ?(companions = []) ~session ~monitor ~applicable
-    ~team_version ~team_history ~program ~time access =
+let decide_lazy ?obs ?(companions = []) ~session ~monitor ~applicable ~program
+    ~time access =
   match obs with
   | None -> (
       (* uninstrumented fast path: no span closures, short-circuits at
@@ -627,14 +602,13 @@ let decide_lazy ?obs ?(companions = []) ~session ~monitor ~applicable
          observable effect — they only warm caches that later
          decisions recompute identically) *)
       let rbac = rbac_cached ~session ~monitor access in
-      refresh_all_lazy ~session ~monitor ~companions ~program ~time
-        ~team_version ~team_history applicable;
+      refresh_all_lazy ~session ~monitor ~companions ~program ~time applicable;
       match rbac with
       | Rbac.Engine.Denied why -> Denied (Rbac_denied why)
       | Rbac.Engine.Granted -> (
           match
             first_spatial_failure_lazy ~session ~monitor ~companions ~program
-              ~access ~team_version ~team_history applicable
+              ~access applicable
           with
           | Some reason -> Denied reason
           | None -> (
@@ -658,12 +632,12 @@ let decide_lazy ?obs ?(companions = []) ~session ~monitor ~applicable
           (List.for_all (fun (_, r) -> Result.is_ok r))
           (fun () ->
             refresh_all_lazy ~session ~monitor ~companions ~program ~time
-              ~team_version ~team_history applicable;
+              applicable;
             List.map
               (fun b ->
                 ( b,
                   spatial_ok_lazy ~session ~monitor ~companions ~program
-                    ~access ~team_version ~team_history b ))
+                    ~access b ))
               applicable)
       in
       match rbac with
@@ -693,9 +667,8 @@ let decide_lazy ?obs ?(companions = []) ~session ~monitor ~applicable
               | None -> Granted)))
 
 let refresh_activation_lazy ?(companions = []) ~session ~monitor ~bindings
-    ~team_version ~team_history ~program ~time () =
-  refresh_all_lazy ~session ~monitor ~companions ~program ~time ~team_version
-    ~team_history bindings
+    ~program ~time () =
+  refresh_all_lazy ~session ~monitor ~companions ~program ~time bindings
 
 let validity_dc_check ~monitor ~(binding : Perm_binding.t) ~time =
   match binding.dur with

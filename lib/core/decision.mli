@@ -61,9 +61,9 @@ val decide_naive :
   Sral.Access.t ->
   verdict
 (** The linear-scan reference decision — literally {!decide}.  Kept
-    under its own name as the differential oracle the indexed/cached
-    fast path is fuzz-tested against, and as the baseline Bechamel's
-    E13 experiment measures. *)
+    under its own name as the differential oracle {!decide_lazy} is
+    fuzz-tested against, and as the baseline the E13 benchmark
+    measures. *)
 
 type request = {
   session : Rbac.Session.t;
@@ -86,61 +86,33 @@ val batch :
     {!Coordinated.System.check_batch} for the stateful, proof-issuing
     form).  Each request is decided exactly as {!decide} would. *)
 
-val decide_indexed :
-  ?obs:Obs.Bus.t ->
-  ?companions:Monitor.t list ->
-  session:Rbac.Session.t ->
-  monitor:Monitor.t ->
-  applicable:Perm_binding.t list ->
-  bindings_version:int ->
-  team_version:int ->
-  team_history:int ->
-  program:Sral.Ast.t ->
-  time:Temporal.Q.t ->
-  Sral.Access.t ->
-  verdict
-(** The fast path.  [applicable] is the pre-filtered binding list (from
-    {!Binding_index.applicable}), in binding-store insertion order —
-    the caller is trusted to pass exactly the bindings {!decide} would
-    have selected.  The RBAC ∧ spatial prefix of the outcome is cached
-    in the monitor under the access's key and reused while the
-    {!Monitor.decision_stamp} — location/activation/history epochs,
-    {!Rbac.Session.version}, [bindings_version], and (for [Team]-scope
-    bindings) [team_version]/[team_history] — is unchanged; only the
-    cheap time-dependent temporal tail is recomputed on a hit.
-    Observationally identical to {!decide_naive} on the same inputs,
-    including the denial reason and the monitor-clock side effects
-    (property-tested in [test/test_fuzz.ml]).  With [obs], every probe
-    of the verdict cache additionally emits an
-    {!Obs.Trace.Cache_probe} event (hit or miss) before the span
-    events of whatever stages then run. *)
-
 val decide_lazy :
   ?obs:Obs.Bus.t ->
   ?companions:Monitor.t list ->
   session:Rbac.Session.t ->
   monitor:Monitor.t ->
   applicable:Perm_binding.t list ->
-  team_version:int ->
-  team_history:int ->
   program:Sral.Ast.t ->
   time:Temporal.Q.t ->
   Sral.Access.t ->
   verdict
-(** The lazy-derivative path.  Observationally identical to
-    {!decide_naive} on the same inputs — verdicts, denial strings,
-    stage spans, monitor clock/epoch movement — but evaluates
+(** The production decision path.  [applicable] is the pre-filtered
+    binding list (from {!Binding_index.applicable}), in binding-store
+    insertion order — the caller is trusted to pass exactly the
+    bindings {!decide} would have selected.  Observationally identical
+    to {!decide_naive} on the same inputs — verdicts, denial strings,
+    stage spans, monitor clock and activation movement — but evaluates
     history-scope spatial constraints incrementally: each binding owns
     a {!Srac.Lazy_dfa} machine in the monitor's {!Residual} store, a
     cursor folds newly performed accesses into the residual state, and
     the grant / activation answers are memoized per-state nullability
-    / feasibility bits.  RBAC verdicts and role checks are cached per
-    access / binding, stamped by {!Rbac.Session.version}.  Unlike
-    {!decide_indexed} there is no verdict cache to invalidate: cost
-    does not regress when every grant moves the history epoch.  With
-    [obs] the three stage spans are emitted exactly as the naive path
-    does; without it the decision short-circuits at the first failure
-    and the warm path performs zero allocation (benchmarked in E22,
+    / feasibility bits.  A [Team]-scope binding folds the merge of the
+    members' non-inert sub-histories, and only when one of them grew
+    or the team changed.  RBAC verdicts and role checks are cached per
+    access / binding, stamped by {!Rbac.Session.version}.  With [obs]
+    the three stage spans are emitted exactly as the naive path does;
+    without it the decision short-circuits at the first failure and
+    the warm path performs zero allocation (benchmarked in E22,
     differentially fuzzed in [test/test_fuzz.ml]). *)
 
 val refresh_activation :
@@ -162,15 +134,13 @@ val refresh_activation_lazy :
   session:Rbac.Session.t ->
   monitor:Monitor.t ->
   bindings:Perm_binding.t list ->
-  team_version:int ->
-  team_history:int ->
   program:Sral.Ast.t ->
   time:Temporal.Q.t ->
   unit ->
   unit
 (** {!refresh_activation} through the lazy machinery: same activation
-    flips and epoch movement, computed from residual feasibility
-    instead of a fresh DFA per history-scope binding. *)
+    flips, computed from residual feasibility instead of a fresh DFA
+    per history-scope binding. *)
 
 val is_granted : verdict -> bool
 val pp_reason : Format.formatter -> reason -> unit

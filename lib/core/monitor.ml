@@ -1,24 +1,5 @@
 module Q = Temporal.Q
 
-type decision_stamp = {
-  location : int;
-  activation : int;
-  history : int;
-  session : int;
-  bindings : int;
-  team_version : int;
-  team_history : int;
-}
-
-type cached_decision = {
-  stamp : decision_stamp;
-  access : Sral.Access.t;
-  program : Sral.Ast.t;
-  uses_history : bool;
-  uses_team : bool;
-  pre_temporal : (unit, Verdict.reason) result;
-}
-
 type t = {
   object_id : string;
   proofs : Srac.Proof.store;
@@ -26,12 +7,9 @@ type t = {
   activations : (string, (Q.t * bool) list ref) Hashtbl.t;
       (* per key, reverse-order change list *)
   spatial_memo : (string, Sral.Ast.t * (unit, string) result) Hashtbl.t;
-  decision_memo : (string, cached_decision) Hashtbl.t;
   residuals : Residual.store;
   mutable clock : Q.t;
-  mutable location_epoch : int;
-  mutable activation_epoch : int;
-  mutable history_epoch : int;
+  mutable history_epoch : int;  (* proofs issued so far *)
 }
 
 let create ~object_id =
@@ -41,18 +19,13 @@ let create ~object_id =
     visits = [];
     activations = Hashtbl.create 8;
     spatial_memo = Hashtbl.create 8;
-    decision_memo = Hashtbl.create 8;
     residuals = Residual.create ();
     clock = Q.zero;
-    location_epoch = 0;
-    activation_epoch = 0;
     history_epoch = 0;
   }
 
 let object_id m = m.object_id
 let proofs m = m.proofs
-let location_epoch m = m.location_epoch
-let activation_epoch m = m.activation_epoch
 let history_epoch m = m.history_epoch
 
 let advance m time =
@@ -64,7 +37,6 @@ let advance m time =
 
 let record_arrival m ~server ~time =
   advance m time;
-  m.location_epoch <- m.location_epoch + 1;
   m.visits <- (server, time) :: m.visits
 
 let arrivals m = List.rev_map snd m.visits
@@ -90,11 +62,7 @@ let changes_ref m key =
 let set_active_cell m (r : Residual.cell) ~time state =
   advance m time;
   let current = match !r with [] -> false | (_, v) :: _ -> v in
-  if Bool.equal current state then ()
-  else begin
-    m.activation_epoch <- m.activation_epoch + 1;
-    r := (time, state) :: !r
-  end
+  if not (Bool.equal current state) then r := (time, state) :: !r
 
 let set_active m ~key ~time state = set_active_cell m (changes_ref m key) ~time state
 
@@ -116,9 +84,6 @@ let memo_spatial m ~key ~program compute =
       let value = compute () in
       Hashtbl.replace m.spatial_memo key (program, value);
       value
-
-let find_decision m ~key = Hashtbl.find_opt m.decision_memo key
-let store_decision m ~key entry = Hashtbl.replace m.decision_memo key entry
 
 let now m = m.clock
 

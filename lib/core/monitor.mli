@@ -50,11 +50,11 @@ val activation_cell : t -> key:string -> Residual.cell
 
 val set_active_cell : t -> Residual.cell -> time:Temporal.Q.t -> bool -> unit
 (** {!set_active} against an already-resolved cell: same clock
-    advancement and epoch accounting, no key lookup. *)
+    advancement and change recording, no key lookup. *)
 
 val residuals : t -> Residual.store
 (** The monitor's lazy-decision state (binding slots, RBAC verdict
-    cache).  Owned by the monitor so its lifetime matches the proof
+    cache, Team-scope sub-histories).  Owned by the monitor so its lifetime matches the proof
     store the residual cursors index into. *)
 
 val is_active_at : t -> key:string -> Temporal.Q.t -> bool
@@ -74,54 +74,9 @@ val memo_spatial :
 val now : t -> Temporal.Q.t
 (** Largest time seen so far (zero initially). *)
 
-val advance : t -> Temporal.Q.t -> unit
-(** Move the object's logical clock forward without recording anything.
-    The decision fast path uses it on cache hits so the clock moves
-    exactly as it would on the recomputing path.
-    @raise Invalid_argument if the time is in the monitor's past. *)
-
-(** {2 Change epochs and the verdict cache}
-
-    Each epoch counts state changes of one input the full decision
-    reads: [location] bumps on {!record_arrival}, [activation] on every
-    {!set_active} that actually flips a state, [history] on
-    {!record_access}.  A decision computed at some epoch vector remains
-    valid while the vector (plus the session/bindings/team stamps the
-    caller supplies) is unchanged — this extends the [memo_spatial]
-    idea to the whole RBAC ∧ spatial prefix of the decision.  The
-    temporal tail is deliberately *not* cached: it depends on the query
-    time itself and is cheap to recompute. *)
-
-val location_epoch : t -> int
-val activation_epoch : t -> int
 val history_epoch : t -> int
-
-type decision_stamp = {
-  location : int;
-  activation : int;
-  history : int;
-  session : int;  (** {!Rbac.Session.version} at computation time *)
-  bindings : int;  (** binding-store version at computation time *)
-  team_version : int;  (** coalition membership stamp *)
-  team_history : int;  (** sum of companions' history epochs *)
-}
-
-type cached_decision = {
-  stamp : decision_stamp;
-  access : Sral.Access.t;  (** compared on lookup, not trusted from key *)
-  program : Sral.Ast.t;
-  uses_history : bool;
-      (** some applicable binding reads execution proofs — only then
-          does a [history] mismatch invalidate *)
-  uses_team : bool;
-      (** some applicable binding has [Team] proof scope — only then do
-          the team stamps invalidate *)
-  pre_temporal : (unit, Verdict.reason) result;
-      (** outcome of the RBAC ∧ spatial prefix; [Ok] means only the
-          temporal tail remains to be evaluated *)
-}
-
-val find_decision : t -> key:string -> cached_decision option
-val store_decision : t -> key:string -> cached_decision -> unit
+(** Number of proofs issued so far ({!record_access} calls).  The lazy
+    decision path's residual cursors read it as the length of the
+    proof store. *)
 
 val pp : Format.formatter -> t -> unit

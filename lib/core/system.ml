@@ -1,6 +1,6 @@
 module String_set = Set.Make (String)
 
-type decision_mode = Indexed | Naive | Lazy
+type decision_mode = Naive | Lazy
 
 type t = {
   policy : Rbac.Policy.t;
@@ -9,12 +9,11 @@ type t = {
   monitors : (string, Monitor.t) Hashtbl.t;
   teams : (string, string) Hashtbl.t;  (* object_id -> team name *)
   rosters : (string, String_set.t) Hashtbl.t;  (* team name -> members *)
-  mutable teams_version : int;
   log : Audit_log.t;
   bus : Obs.Bus.t;
 }
 
-let create ?(mode = Indexed) ?(bindings = []) ?log_capacity ?bus policy =
+let create ?(mode = Lazy) ?(bindings = []) ?log_capacity ?bus policy =
   let bus = match bus with Some b -> b | None -> Obs.Bus.create () in
   let log = Audit_log.create ?capacity:log_capacity () in
   (* the audit log no longer records on its own: it is the bus's first
@@ -27,7 +26,6 @@ let create ?(mode = Indexed) ?(bindings = []) ?log_capacity ?bus policy =
     monitors = Hashtbl.create 8;
     teams = Hashtbl.create 8;
     rosters = Hashtbl.create 8;
-    teams_version = 0;
     log;
     bus;
   }
@@ -66,8 +64,7 @@ let join_team t ~object_id ~team =
       Hashtbl.replace t.rosters old (String_set.remove object_id (roster t old))
   | None -> ());
   Hashtbl.replace t.teams object_id team;
-  Hashtbl.replace t.rosters team (String_set.add object_id (roster t team));
-  t.teams_version <- t.teams_version + 1
+  Hashtbl.replace t.rosters team (String_set.add object_id (roster t team))
 
 let team_of t ~object_id = Hashtbl.find_opt t.teams object_id
 
@@ -98,15 +95,6 @@ let companions t ~object_id =
 let companions_scan t ~object_id =
   List.map (fun id -> monitor t ~object_id:id) (teammates_scan t ~object_id)
 
-(* Cache stamp for everything the companions contribute to a decision:
-   their identity (teams_version bumps on any membership change) and
-   their proof stores (sum of history epochs; including the member
-   count guards the all-zero corner). *)
-let team_history_stamp companions =
-  List.fold_left
-    (fun acc m -> acc + Monitor.history_epoch m)
-    (List.length companions) companions
-
 let check t ~session ~object_id ~program ~time access =
   let m = monitor t ~object_id in
   let verdict =
@@ -117,21 +105,10 @@ let check t ~session ~object_id ~program ~time access =
           ~session ~monitor:m
           ~bindings:(Binding_index.to_list t.index)
           ~program ~time access
-    | Indexed ->
-        let applicable = Binding_index.applicable t.index access in
-        let companions = companions t ~object_id in
-        Decision.decide_indexed ~obs:t.bus ~companions ~session ~monitor:m
-          ~applicable
-          ~bindings_version:(Binding_index.version t.index)
-          ~team_version:t.teams_version
-          ~team_history:(team_history_stamp companions)
-          ~program ~time access
     | Lazy ->
-        let applicable = Binding_index.applicable t.index access in
-        let companions = companions t ~object_id in
-        Decision.decide_lazy ~obs:t.bus ~companions ~session ~monitor:m
-          ~applicable ~team_version:t.teams_version
-          ~team_history:(team_history_stamp companions)
+        Decision.decide_lazy ~obs:t.bus ~companions:(companions t ~object_id)
+          ~session ~monitor:m
+          ~applicable:(Binding_index.applicable t.index access)
           ~program ~time access
   in
   Obs.Bus.emit t.bus (Obs.Trace.Decision { time; object_id; access; verdict });
@@ -158,18 +135,10 @@ let refresh t ~session ~object_id ~program ~time =
         ~monitor:(monitor t ~object_id)
         ~bindings:(Binding_index.to_list t.index)
         ~program ~time ()
-  | Indexed ->
-      Decision.refresh_activation
+  | Lazy ->
+      Decision.refresh_activation_lazy
         ~companions:(companions t ~object_id)
         ~session
         ~monitor:(monitor t ~object_id)
         ~bindings:(Binding_index.to_list t.index)
-        ~program ~time ()
-  | Lazy ->
-      let companions = companions t ~object_id in
-      Decision.refresh_activation_lazy ~companions ~session
-        ~monitor:(monitor t ~object_id)
-        ~bindings:(Binding_index.to_list t.index)
-        ~team_version:t.teams_version
-        ~team_history:(team_history_stamp companions)
         ~program ~time ()

@@ -4,27 +4,26 @@
     monitors and the audit log into the single object a server (or the
     Naplet emulation's security manager) consults.
 
-    Three decision modes share one observable behavior:
+    Two decision modes share one observable behavior:
 
-    - [Indexed] (the default) resolves applicable bindings through
-      {!Binding_index}, looks companions up in precomputed team
-      rosters, and serves repeat decisions from the per-monitor verdict
-      cache ({!Decision.decide_indexed}).
+    - [Lazy] (the default, the production path) resolves applicable
+      bindings through {!Binding_index}, looks companions up in
+      precomputed team rosters, and evaluates history-scope spatial
+      constraints incrementally as memoized Brzozowski-derivative
+      residuals ({!Decision.decide_lazy} over {!Srac.Lazy_dfa}): no
+      per-decision constraint compilation.
     - [Naive] is the seed's linear path — full binding scan, companion
       fold over every object, no caching — kept as the differential
       oracle and the E13 baseline.
-    - [Lazy] evaluates history-scope spatial constraints incrementally
-      as memoized Brzozowski-derivative residuals
-      ({!Decision.decide_lazy} over {!Srac.Lazy_dfa}): no verdict
-      cache to invalidate, no per-decision constraint compilation.
 
-    The differential fuzz suite ([test/test_fuzz.ml]) checks that all
-    modes produce identical verdicts (including denial reasons) and
-    identical audit logs on randomized coalitions. *)
+    The differential fuzz suite ([test/test_fuzz.ml]) checks that both
+    modes produce identical verdicts (including denial reasons),
+    identical audit logs and identical trace spans on randomized
+    coalitions. *)
 
 type t
 
-type decision_mode = Indexed | Naive | Lazy
+type decision_mode = Naive | Lazy
 
 val create :
   ?mode:decision_mode ->
@@ -46,8 +45,8 @@ val clone : t -> t
     a fresh index), the {e same} policy object, but fresh monitors,
     teams, audit log and bus.  This is the shard-safe entry point the
     parallel engine uses: each OCaml 5 domain decides against its own
-    clone, so no mutable decision state (monitors, verdict caches,
-    rosters, logs) is ever shared between domains.  The shared policy
+    clone, so no mutable decision state (monitors, residual caches,
+    the binding memo, rosters, logs) is ever shared between domains.  The shared policy
     must not be mutated while clones are live on other domains —
     concurrent {e reads} of an unmutated policy are safe. *)
 
@@ -70,8 +69,8 @@ val applicable_bindings : t -> Sral.Access.t -> Perm_binding.t list
 val log : t -> Audit_log.t
 
 val bus : t -> Obs.Bus.t
-(** The system's trace bus.  {!check} emits per-stage span events,
-    cache probes and one {!Obs.Trace.Decision} per decision on it;
+(** The system's trace bus.  {!check} emits per-stage span events and
+    one {!Obs.Trace.Decision} per decision on it;
     {!arrive} emits {!Obs.Trace.Arrival}.  Subscribe sinks here to
     observe (or record) everything the system does. *)
 

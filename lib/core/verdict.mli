@@ -1,5 +1,5 @@
 (** Decision outcomes, factored out of {!Decision} so lower layers
-    (notably {!Monitor}'s verdict cache) can store them without
+    can store them without
     depending on the decision procedure itself.  The type now lives in
     {!Obs.Verdict} — the observability layer carries verdicts inside
     {!Obs.Trace.Decision} events, and sits below this library — and is

@@ -19,7 +19,8 @@ val create : unit -> t
 
 val sink : t -> Sink.t
 (** The accumulator as a bus subscriber.  Consumes [Stage_end],
-    [Cache_probe] and [Decision] events; ignores the rest. *)
+    [Cache_probe] (retired; counted for archived traces) and [Decision]
+    events; ignores the rest. *)
 
 val of_trace : Trace.event list -> t
 (** Fold a captured trace through a fresh accumulator — how per-shard

@@ -5,8 +5,7 @@
     - {b decision spans}: [Stage_start]/[Stage_end] bracket each stage
       of the coordinated decision pipeline (RBAC, then spatial, then
       temporal — the Eq. 3.1 ∧ Eq. 4.1 conjunction in evaluation
-      order), and [Cache_probe] records verdict-cache hits/misses on
-      the indexed fast path;
+      order); [Cache_probe] is retired (see its constructor);
     - {b decisions}: one [Decision] per {!Coordinated.System.check},
       carrying the access and the full verdict (the audit log's unit of
       record);
@@ -58,6 +57,12 @@ type event =
               null clock *)
     }
   | Cache_probe of { time : Temporal.Q.t; object_id : string; hit : bool }
+      (** Retired: a verdict-cache hit or miss of the removed indexed
+          decision path.  Nothing in this repository emits it any more.
+          The constructor, its {!Stats} counters and its {!Export}
+          codec stay so that archived traces holding [cache_probe]
+          lines are still read and counted, not rejected, and so that
+          consumers matching on it keep compiling. *)
   | Decision of {
       time : Temporal.Q.t;
       object_id : string;

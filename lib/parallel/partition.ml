@@ -3,8 +3,8 @@
    Two objects may be decided on different shards only if no decision
    about one can ever read the other's state.  The only cross-object
    coupling in the model is team membership (Team-scope bindings read
-   companions' proof stores, and cache stamps read teammates' history
-   epochs), so the sound unit of distribution is the connected
+   companions' proof stores and keep sub-histories in their monitors),
+   so the sound unit of distribution is the connected
    component of the "ever shares a team" relation over the event
    stream.  Everything here is deterministic: component identity comes
    from union-find over the scenario data, component order from first

@@ -1,8 +1,9 @@
 (** Team-closed partitioning of one coalition's objects across shards.
 
     Objects that ever share a team are coupled: Team-scope bindings
-    fold over companions' proof stores, and the indexed path's cache
-    stamps read teammates' history epochs.  Splitting such objects
+    fold over companions' proof stores, and the lazy path keeps
+    per-binding sub-histories inside teammates' monitors.  Splitting
+    such objects
     across shards would let a decision read state owned by another
     domain.  The partition therefore distributes whole {e connected
     components} of the "ever shares a team" relation (computed from the

@@ -39,9 +39,8 @@ let subject = function
 
 (* Events every shard must replay regardless of ownership: they mutate
    state that decisions on *any* object may consult.  Add_binding grows
-   the shared binding store; Join keeps the team rosters (and
-   teams_version, which verdict-cache stamps read) identical on every
-   shard.  Both emit nothing on the bus, so replaying them everywhere
+   the shared binding store; Join keeps the team rosters identical on
+   every shard.  Both emit nothing on the bus, so replaying them everywhere
    cannot perturb the merged trace. *)
 let broadcast = function Add_binding _ | Join _ -> true | _ -> false
 

@@ -51,7 +51,7 @@ val subject : event -> string option
 val broadcast : event -> bool
 (** Must every shard replay this event regardless of ownership?
     [true] for [Add_binding] (shared binding store) and [Join] (team
-    rosters and the teams version that verdict-cache stamps read).
+    rosters, which Team-scope decisions read).
     Broadcast events emit nothing, so replaying them everywhere leaves
     the merged trace untouched. *)
 

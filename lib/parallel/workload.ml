@@ -39,8 +39,8 @@ let base_bindings ~resources rng =
         (Rbac.Perm.make ~operation:"execute" ~target:"*@*");
     ]
 
-(* plus program-scope and Both-scope shapes so the verdict cache's
-   memo reuse and team stamps get exercised *)
+(* plus program-scope and Both-scope shapes so the lazy path's
+   program-check memo and team folds get exercised *)
 let bindings ~resources rng =
   base_bindings ~resources rng
   @ List.filteri
@@ -161,7 +161,7 @@ let scenario ?(servers = default_servers) ?(resources = default_resources)
    team "blk<i/block>", so {!Partition.assign} recovers components of
    exactly [block] objects and object-level sharding has [objects /
    block] units to balance.  Programs come from a small shared pool
-   (the verdict cache's memo path sees real reuse, and generation
+   (the program-check memo sees real reuse, and generation
    stays linear); every per-object lookup below is array-indexed, so
    building 10^4..10^5 objects is cheap. *)
 let big_coalition ?(servers = default_servers)

@@ -52,7 +52,7 @@ let build_control ~mode =
     (Rbac.Perm.make ~operation:"hash" ~target:"*@*");
   Coordinated.System.create ~mode policy
 
-let run ?(mode = Coordinated.System.Indexed) ?(plan_name = "moderate")
+let run ?(mode = Coordinated.System.Lazy) ?(plan_name = "moderate")
     ?(seed = 42) ?(couriers = 4) ?(messages = 4) () =
   let control = build_control ~mode in
   let capture, trace = Obs.Sink.memory () in

@@ -33,7 +33,7 @@ val run :
   ?messages:int ->
   unit ->
   report
-(** Defaults: indexed mode, plan ["moderate"], seed 42, 4 couriers, 4
+(** Defaults: lazy mode, plan ["moderate"], seed 42, 4 couriers, 4
     messages.  [plan_name] is one of {!Fault.Plan.intensity_names}.
     @raise Invalid_argument on an unknown plan name. *)
 

@@ -4,7 +4,7 @@ let resources = [ "r1"; "r2"; "r3" ]
 
 (* One permissive policy shared by the big-coalition builds: a single
    worker role with a wildcard grant, so decision cost is the flat
-   indexed path and the benchmark measures the engine, not the policy. *)
+   lazy path and the benchmark measures the engine, not the policy. *)
 let permissive_control () =
   let p = Rbac.Policy.create () in
   Rbac.Policy.add_user p "u1";

@@ -9,7 +9,7 @@ type config = {
 
 let default_config =
   {
-    mode = System.Indexed;
+    mode = System.Lazy;
     queue_capacity = 256;
     max_frame = Frame.max_frame_default;
   }

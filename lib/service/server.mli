@@ -29,7 +29,7 @@ type config = {
 }
 
 val default_config : config
-(** [Indexed], 256 frames, {!Frame.max_frame_default}. *)
+(** [Lazy], 256 frames, {!Frame.max_frame_default}. *)
 
 type t
 

@@ -3,7 +3,10 @@
    A machine is a growable DFA whose states are *simplified residual
    formulas* ({!Derivative.after} images of the source constraint) and
    whose alphabet is an arena of interned accesses: the constraint's
-   own accesses plus every access the monitored object performs.
+   own accesses plus every performed access some cardinality selector
+   of the constraint matches.  Any other access is *inert*: no atom,
+   ordering or selector of the constraint can see it, so it is a
+   self-loop on every residual and is never interned.
    Nothing is compiled up front — a transition is materialized the
    first time some trace actually takes it, and from then on stepping
    is two array reads.  The steady-state decision path therefore
@@ -16,12 +19,7 @@
    differentially fuzzed through the full decision procedure in
    test_fuzz. *)
 
-module Access_tbl = Hashtbl.Make (struct
-  type t = Sral.Access.t
-
-  let equal = Sral.Access.equal
-  let hash = Sral.Access.hash
-end)
+module Access_tbl = Sral.Access.Tbl
 
 module Formula_tbl = Hashtbl.Make (struct
   type t = Formula.t
@@ -32,6 +30,7 @@ end)
 
 type t = {
   source : Formula.t;  (* the raw constraint, pre-simplification *)
+  sels : Selector.t array;  (* the source's cardinality selectors *)
   mutable syms : Sral.Access.t array;  (* symbol id -> access *)
   sym_ids : int Access_tbl.t;  (* access -> symbol id *)
   mutable sym_count : int;
@@ -106,10 +105,18 @@ let intern_state m f =
       m.state_count <- id + 1;
       id
 
+let rec card_selectors acc = function
+  | Formula.True | Formula.False | Formula.Atom _ | Formula.Ordered _ -> acc
+  | Formula.Card { sel; _ } -> sel :: acc
+  | Formula.And (c1, c2) | Formula.Or (c1, c2) ->
+      card_selectors (card_selectors acc c1) c2
+  | Formula.Not c1 -> card_selectors acc c1
+
 let create c =
   let m =
     {
       source = c;
+      sels = Array.of_list (card_selectors [] c);
       syms = Array.make 4 dummy_access;
       sym_ids = Access_tbl.create 16;
       sym_count = 0;
@@ -163,15 +170,30 @@ let step m q s =
   end
   else materialize m q s
 
-let step_access m q a = step m q (intern_sym m a)
+let rec selected sels a i =
+  i < Array.length sels
+  && (Selector.matches (Array.unsafe_get sels i) a || selected sels a (i + 1))
+
+(* Every access of the source is interned at creation, so an access
+   missing from the arena is inert unless a selector counts it.
+   Derivatives never introduce accesses or selectors, so inertness
+   holds for every residual, not just the source. *)
+let inert m a = find_sym m a < 0 && not (selected m.sels a 0)
+
+let step_access m q a =
+  match Access_tbl.find m.sym_ids a with
+  | s -> step m q s
+  | exception Not_found ->
+      if selected m.sels a 0 then step m q (intern_sym m a) else q
 
 let nullable_after m q a =
   let s = find_sym m a in
   if s >= 0 then m.null.(step m q s)
+  else if not (selected m.sels a 0) then m.null.(q)
   else
-    (* an access outside the arena (a denied or not-yet-performed
-       query) must not pollute the alphabet: derive directly without
-       interning.  Cold path; allocates. *)
+    (* a selected access outside the arena (a denied or
+       not-yet-performed query) must not pollute the alphabet: derive
+       directly without interning.  Cold path; allocates. *)
     Derivative.satisfied_by_empty (Derivative.after m.states.(q) a)
 
 (* Is any nullable residual reachable from [q] over the current

@@ -16,7 +16,9 @@
       constraint is satisfied by the empty extension;
     - [feasible m q] = [Program_sat.prefix_feasible] of that trace over
       the machine's current alphabet (the constraint's accesses plus
-      every access stepped so far). *)
+      every non-{!inert} access stepped so far); inert accesses are
+      self-loops, so leaving them out of the alphabet changes no
+      answer. *)
 
 type t
 
@@ -32,7 +34,14 @@ val start : t -> int
 val step_access : t -> int -> Sral.Access.t -> int
 (** Step a residual state by a *performed* access, interning the
     access into the alphabet if new.  Warm transitions are two array
-    reads; cold ones derive + simplify once and are memoized. *)
+    reads; cold ones derive + simplify once and are memoized.  An
+    {!inert} access returns the state unchanged and is not interned. *)
+
+val inert : t -> Sral.Access.t -> bool
+(** The access is outside [Formula.accesses] of the constraint and no
+    cardinality selector of it matches: a self-loop on every residual,
+    so neither nullability nor feasibility can depend on it.
+    Allocation-free. *)
 
 val nullable : t -> int -> bool
 (** Is the state's residual satisfied by the empty extension?  O(1). *)

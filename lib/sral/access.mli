@@ -36,6 +36,10 @@ val compare : t -> t -> int
 val equal : t -> t -> bool
 val hash : t -> int
 
+module Tbl : Hashtbl.S with type key = t
+(** Access-keyed tables over {!equal}/{!hash}: a hit probes without
+    allocating. *)
+
 val operation_name : operation -> string
 (** Lower-case operation name as used by the concrete syntax. *)
 

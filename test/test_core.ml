@@ -70,8 +70,8 @@ let test_monitor_activation_fn () =
 
 (* --- decisions --- *)
 
-let setup ?(bindings = []) () =
-  let control = System.create ~bindings (base_policy ()) in
+let setup ?mode ?(bindings = []) () =
+  let control = System.create ?mode ~bindings (base_policy ()) in
   let session = session_of control in
   System.arrive control ~object_id:"o" ~server:"s1" ~time:Q.zero;
   (control, session)
@@ -438,116 +438,205 @@ let test_own_scope_ignores_teammates () =
       Alcotest.fail
         (Format.asprintf "own scope should deny: %a" Decision.pp_verdict v)
 
-(* --- verdict cache invalidation (the indexed fast path must never
-   serve a stale grant) --- *)
+(* --- cache invalidation: the lazy path's caches (RBAC verdicts,
+   applicable bindings, residual cursors, team folds) must never serve
+   a stale grant.  Each case runs in Lazy and in Naive mode, checks the
+   expected outcome in both, and requires the two to agree verdict for
+   verdict, denial strings included. --- *)
 
-let test_cache_hit_is_taken () =
-  (* program-scope binding: after a granted check the cached entry is
-     present and a repeated identical check (different time) still
-     matches the naive outcome *)
-  let binding =
-    Perm_binding.make
-      ~spatial:(Srac.Formula.Ordered (a_cfg, a_db))
-      (Rbac.Perm.make ~operation:"read" ~target:"db@s1")
-  in
-  let control, session = setup ~bindings:[ binding ] () in
-  let program = prog "read cfg @ s1; read db @ s1" in
-  let check t =
-    System.check control ~session ~object_id:"o" ~program ~time:(q t) a_db
-  in
-  Alcotest.(check bool) "first granted" true (Decision.is_granted (check 1));
-  let m = System.monitor control ~object_id:"o" in
-  Alcotest.(check bool) "verdict cached" true
-    (Option.is_some
-       (Monitor.find_decision m ~key:(Sral.Access.to_string a_db)));
-  Alcotest.(check bool) "repeat granted (cache hit)" true
-    (Decision.is_granted (check 2));
-  Alcotest.(check bool) "clock advanced on the hit path" true
-    (Q.equal (Monitor.now m) (q 2))
+let lazy_vs_naive run =
+  let render = List.map (Format.asprintf "%a" Decision.pp_verdict) in
+  Alcotest.(check (list string))
+    "lazy = naive" (render (run System.Naive)) (render (run System.Lazy))
 
 let test_cache_invalidated_by_arrival () =
-  (* a cached Granted must flip once record_arrival moves the object
-     off the server whose per-server budget the grant was living on *)
-  let binding =
-    Perm_binding.make ~dur:(q 5) ~scheme:Temporal.Validity.Per_server
-      (Rbac.Perm.make ~operation:"read" ~target:"db@s1")
-  in
-  let control, session = setup ~bindings:[ binding ] () in
-  let program = prog "read db @ s1; read db @ s1" in
-  let check t =
-    System.check control ~session ~object_id:"o" ~program ~time:(q t) a_db
-  in
-  Alcotest.(check bool) "granted on s1" true (Decision.is_granted (check 1));
-  System.arrive control ~object_id:"o" ~server:"s2" ~time:(q 2);
-  (* budget rebased at t=2; by t=8 it is exhausted — a stale cache
-     would keep granting *)
-  match check 8 with
-  | Decision.Denied (Decision.Temporal_expired _) -> ()
-  | v ->
-      Alcotest.fail
-        (Format.asprintf "expected expiry after migration, got %a"
-           Decision.pp_verdict v)
+  (* a Granted must flip once record_arrival moves the object off the
+     server whose per-server budget the grant was living on *)
+  lazy_vs_naive (fun mode ->
+      let binding =
+        Perm_binding.make ~dur:(q 5) ~scheme:Temporal.Validity.Per_server
+          (Rbac.Perm.make ~operation:"read" ~target:"db@s1")
+      in
+      let control, session = setup ~mode ~bindings:[ binding ] () in
+      let program = prog "read db @ s1; read db @ s1" in
+      let check t =
+        System.check control ~session ~object_id:"o" ~program ~time:(q t) a_db
+      in
+      let first = check 1 in
+      Alcotest.(check bool) "granted on s1" true (Decision.is_granted first);
+      System.arrive control ~object_id:"o" ~server:"s2" ~time:(q 2);
+      (* budget rebased at t=2; by t=8 it is exhausted — a stale cache
+         would keep granting *)
+      let after = check 8 in
+      (match after with
+      | Decision.Denied (Decision.Temporal_expired _) -> ()
+      | v ->
+          Alcotest.fail
+            (Format.asprintf "expected expiry after migration, got %a"
+               Decision.pp_verdict v));
+      [ first; after ])
 
 let test_cache_invalidated_by_companion_history () =
   (* Team proof scope, at most 2 db reads for the whole team: the
      worker's second check is identical to its first (same access, same
      program) but a companion's grant in between changes the
      coordinated outcome *)
-  let binding =
-    Perm_binding.make
-      ~spatial:(Srac.Formula.at_most 2 (Srac.Selector.Resource "db"))
-      ~spatial_scope:Perm_binding.Performed ~proof_scope:Perm_binding.Team
-      (Rbac.Perm.make ~operation:"read" ~target:"db@s1")
-  in
-  let control = System.create ~bindings:[ binding ] (base_policy ()) in
-  let worker_session = session_of control in
-  let helper_session = session_of control in
-  System.arrive control ~object_id:"worker" ~server:"s1" ~time:Q.zero;
-  System.arrive control ~object_id:"helper" ~server:"s1" ~time:Q.zero;
-  System.join_team control ~object_id:"worker" ~team:"t1";
-  System.join_team control ~object_id:"helper" ~team:"t1";
-  let program = prog "read db @ s1; read db @ s1" in
-  let check session object_id t =
-    System.check control ~session ~object_id ~program ~time:(q t) a_db
-  in
-  Alcotest.(check bool) "worker 1st" true
-    (Decision.is_granted (check worker_session "worker" 1));
-  Alcotest.(check bool) "helper consumes the team budget" true
-    (Decision.is_granted (check helper_session "helper" 2));
-  (* team history now holds 2 db reads; the worker's identical recheck
-     would make 3 — must be denied, not served from cache *)
-  match check worker_session "worker" 3 with
-  | Decision.Denied (Decision.Spatial_violation _) -> ()
-  | v ->
-      Alcotest.fail
-        (Format.asprintf "expected team-budget denial, got %a"
-           Decision.pp_verdict v)
+  lazy_vs_naive (fun mode ->
+      let binding =
+        Perm_binding.make
+          ~spatial:(Srac.Formula.at_most 2 (Srac.Selector.Resource "db"))
+          ~spatial_scope:Perm_binding.Performed ~proof_scope:Perm_binding.Team
+          (Rbac.Perm.make ~operation:"read" ~target:"db@s1")
+      in
+      let control =
+        System.create ~mode ~bindings:[ binding ] (base_policy ())
+      in
+      let worker_session = session_of control in
+      let helper_session = session_of control in
+      System.arrive control ~object_id:"worker" ~server:"s1" ~time:Q.zero;
+      System.arrive control ~object_id:"helper" ~server:"s1" ~time:Q.zero;
+      System.join_team control ~object_id:"worker" ~team:"t1";
+      System.join_team control ~object_id:"helper" ~team:"t1";
+      let program = prog "read db @ s1; read db @ s1" in
+      let check session object_id t =
+        System.check control ~session ~object_id ~program ~time:(q t) a_db
+      in
+      let first = check worker_session "worker" 1 in
+      Alcotest.(check bool) "worker 1st" true (Decision.is_granted first);
+      let helper = check helper_session "helper" 2 in
+      Alcotest.(check bool) "helper consumes the team budget" true
+        (Decision.is_granted helper);
+      (* team history now holds 2 db reads; the worker's identical
+         recheck would make 3 — must be denied, not served stale *)
+      let recheck = check worker_session "worker" 3 in
+      (match recheck with
+      | Decision.Denied (Decision.Spatial_violation _) -> ()
+      | v ->
+          Alcotest.fail
+            (Format.asprintf "expected team-budget denial, got %a"
+               Decision.pp_verdict v));
+      [ first; helper; recheck ])
 
 let test_cache_invalidated_by_session_change () =
   (* deactivating the role between two identical checks must flip the
-     cached Granted to an RBAC denial *)
-  let binding =
-    Perm_binding.make (Rbac.Perm.make ~operation:"read" ~target:"db@s1")
+     Granted to an RBAC denial *)
+  lazy_vs_naive (fun mode ->
+      let binding =
+        Perm_binding.make (Rbac.Perm.make ~operation:"read" ~target:"db@s1")
+      in
+      let control, session = setup ~mode ~bindings:[ binding ] () in
+      let program = prog "read db @ s1" in
+      let check t =
+        System.check control ~session ~object_id:"o" ~program ~time:(q t) a_db
+      in
+      let v1 = check 1 in
+      let v2 = check 2 in
+      Alcotest.(check bool) "granted while active" true (Decision.is_granted v1);
+      Alcotest.(check bool) "still granted (warm)" true (Decision.is_granted v2);
+      Rbac.Session.deactivate session "r";
+      let v3 = check 3 in
+      (match v3 with
+      | Decision.Denied (Decision.Rbac_denied _) -> ()
+      | v ->
+          Alcotest.fail
+            (Format.asprintf "expected rbac denial after deactivation, got %a"
+               Decision.pp_verdict v));
+      (* and reactivation restores the grant *)
+      Rbac.Session.activate session "r";
+      let v4 = check 4 in
+      Alcotest.(check bool) "granted again" true (Decision.is_granted v4);
+      [ v1; v2; v3; v4 ])
+
+(* Team scope merges the members' proofs by time, ties to the earlier
+   member (the requester first, then companions in name order).  The
+   lazy path folds that merge from per-member sub-histories; this case
+   drives the corners: equal timestamps across members, a companion
+   whose newest proof is older than the requester's, a join swap
+   between checks, and a selected access that only a former companion
+   performed. *)
+let test_team_merge_corners () =
+  let read_s1 r = read_ r "s1" in
+  let team_binding ?(perm = "vault@s1") spatial =
+    Perm_binding.make ~spatial ~spatial_scope:Perm_binding.Performed
+      ~proof_scope:Perm_binding.Team
+      (Rbac.Perm.make ~operation:"read" ~target:perm)
   in
-  let control, session = setup ~bindings:[ binding ] () in
-  let program = prog "read db @ s1" in
-  let check t =
-    System.check control ~session ~object_id:"o" ~program ~time:(q t) a_db
+  let bindings =
+    [
+      (* a key read must precede a map read somewhere in the team *)
+      team_binding (Srac.Formula.Ordered (read_s1 "key", read_s1 "map"));
+      (* at most 2 db reads for the whole team *)
+      team_binding ~perm:"db@s1"
+        (Srac.Formula.at_most 2 (Srac.Selector.Resource "db"));
+      (* a log read anywhere: feasible only while the team's history
+         holds some log access *)
+      team_binding ~perm:"log@s1"
+        (Srac.Formula.at_least 1 (Srac.Selector.Resource "log"));
+    ]
   in
-  Alcotest.(check bool) "granted while active" true
-    (Decision.is_granted (check 1));
-  Alcotest.(check bool) "still granted (cache hit)" true
-    (Decision.is_granted (check 2));
-  Rbac.Session.deactivate session "r";
-  (match check 3 with
-  | Decision.Denied (Decision.Rbac_denied _) -> ()
-  | v ->
-      Alcotest.fail
-        (Format.asprintf "expected rbac denial after deactivation, got %a"
-           Decision.pp_verdict v));
-  (* and reactivation restores the grant *)
-  Rbac.Session.activate session "r";
-  Alcotest.(check bool) "granted again" true (Decision.is_granted (check 4))
+  lazy_vs_naive (fun mode ->
+      let control = System.create ~mode ~bindings (base_policy ()) in
+      let sessions = Hashtbl.create 4 in
+      let program = prog "read key @ s1; read map @ s1; read vault @ s1" in
+      List.iter
+        (fun o ->
+          Hashtbl.replace sessions o (session_of control);
+          System.arrive control ~object_id:o ~server:"s1" ~time:Q.zero)
+        [ "a"; "b"; "c"; "d" ];
+      System.join_team control ~object_id:"a" ~team:"t1";
+      System.join_team control ~object_id:"b" ~team:"t1";
+      System.join_team control ~object_id:"c" ~team:"t2";
+      System.join_team control ~object_id:"d" ~team:"t2";
+      let verdicts = ref [] in
+      let check o t access =
+        verdicts :=
+          System.check control ~session:(Hashtbl.find sessions o)
+            ~object_id:o ~program ~time:(q t) access
+          :: !verdicts
+      in
+      let refresh o t =
+        System.refresh control ~session:(Hashtbl.find sessions o)
+          ~object_id:o ~program ~time:(q t)
+      in
+      (* c's only proofs sit at t=1, older than anything a does *)
+      check "c" 1 (read_s1 "map");
+      check "c" 1 (read_ "log" "s2");
+      (* equal timestamps: b's map and a's key both at t=3 *)
+      check "b" 3 (read_s1 "map");
+      check "a" 3 (read_s1 "key");
+      (* a merges [key(a); map(b)]: ordered; b merges [map(b); key(a)]:
+         not *)
+      check "a" 4 (read_s1 "vault");
+      check "b" 4 (read_s1 "vault");
+      check "a" 5 a_db;
+      check "b" 5 a_db;
+      check "a" 6 a_db;
+      (* swap a and d: a's team becomes {a, c} *)
+      System.join_team control ~object_id:"a" ~team:"t2";
+      System.join_team control ~object_id:"d" ~team:"t1";
+      (* c's map at t=1 precedes a's key at t=3 *)
+      check "a" 7 (read_s1 "vault");
+      (* the team budget counts c's db reads, none: a's one plus this
+         one fill it *)
+      check "a" 7 a_db;
+      (* a's log binding folds c's log@s2 into its machine *)
+      refresh "a" 8;
+      check "b" 8 (read_s1 "vault");
+      (* swap back: t1 = {a, b} again, whose history holds no log, so
+         a log read is not feasible and the permission is inactive *)
+      System.join_team control ~object_id:"a" ~team:"t1";
+      System.join_team control ~object_id:"d" ~team:"t2";
+      check "a" 9 (read_s1 "vault");
+      check "a" 10 (read_s1 "log");
+      check "c" 10 (read_s1 "log");
+      check "d" 11 (read_s1 "log");
+      let verdicts = List.rev !verdicts in
+      Alcotest.(check (list bool))
+        "grant pattern"
+        [ true; true; true; true; true; false; true; true; false;
+          false; true; false; true; false; true; true ]
+        (List.map Decision.is_granted verdicts);
+      verdicts)
 
 (* --- binding index --- *)
 
@@ -1096,10 +1185,11 @@ let () =
         [
           Alcotest.test_case "team history" `Quick test_team_history;
           Alcotest.test_case "own scope" `Quick test_own_scope_ignores_teammates;
+          Alcotest.test_case "merge corners, lazy = naive" `Quick
+            test_team_merge_corners;
         ] );
       ( "verdict-cache",
         [
-          Alcotest.test_case "hit is taken" `Quick test_cache_hit_is_taken;
           Alcotest.test_case "invalidated by arrival" `Quick
             test_cache_invalidated_by_arrival;
           Alcotest.test_case "invalidated by companion history" `Quick

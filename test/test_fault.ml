@@ -368,8 +368,9 @@ let test_chaos_runs_deterministic () =
     [ ("none", 1); ("light", 2); ("moderate", 42); ("heavy", 7) ]
 
 let test_chaos_modes_agree_on_decisions () =
-  (* the decision mode is a cache strategy, not a policy: both modes
-     must reach identical verdict counts under the same fault plan *)
+  (* the decision mode is an evaluation strategy, not a policy: both
+     modes must reach identical verdict counts under the same fault
+     plan *)
   let counts mode =
     let m =
       (Scenarios.Chaos.run ~mode ~plan_name:"moderate" ~seed:42 ())
@@ -378,8 +379,8 @@ let test_chaos_modes_agree_on_decisions () =
     (m.Naplet.Metrics.granted, m.Naplet.Metrics.denied,
      m.Naplet.Metrics.denied_unavailable, m.Naplet.Metrics.gave_up)
   in
-  Alcotest.(check bool) "naive = indexed" true
-    (counts Coordinated.System.Naive = counts Coordinated.System.Indexed)
+  Alcotest.(check bool) "naive = lazy" true
+    (counts Coordinated.System.Naive = counts Coordinated.System.Lazy)
 
 (* Satellite: the fail-closed property fuzzed over 200 seeded
    coalitions — no Granted decision ever targets a server inside one of

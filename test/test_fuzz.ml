@@ -186,13 +186,14 @@ let test_duration_budget_never_negative () =
         (Naplet.World.agents world))
 
 (* ------------------------------------------------------------------ *)
-(* Differential testing: the indexed/cached decision path vs the seed's
-   linear path.  A coalition is generated once as pure data
-   ([Gen.coalition], the shared [Parallel.Workload] generator) and
-   interpreted twice by [Parallel.Scenario.run] — once in [Indexed]
-   mode, once in [Naive] mode.  Every check's verdict (rendered, so
-   denial *reasons* are compared too) and the final audit logs must
-   agree entry-for-entry. *)
+(* Differential testing: the production (lazy-derivative) decision
+   path vs the seed's linear path.  A coalition is generated once as
+   pure data ([Gen.coalition], the shared [Parallel.Workload]
+   generator) and interpreted twice by [Parallel.Scenario.run] — once
+   in [Lazy] mode, once in [Naive] mode.  Every check's verdict
+   (rendered, so denial *reasons* are compared too) and the final audit
+   logs must agree entry-for-entry.  This gate and the span gate below
+   draw disjoint seed sets. *)
 
 let run_scenario mode sc =
   let o = Parallel.Scenario.run ~mode sc in
@@ -200,12 +201,12 @@ let run_scenario mode sc =
 
 let diff_runs = 500
 
-let test_differential_indexed_vs_naive () =
+let test_differential_verdicts_and_logs () =
   Gen.each_seed ~salt:4242 ~count:diff_runs (fun ~seed rng ->
       let sc = Gen.coalition rng in
-      let v_fast, log_fast = run_scenario Coordinated.System.Indexed sc in
+      let v_lazy, log_lazy = run_scenario Coordinated.System.Lazy sc in
       let v_naive, log_naive = run_scenario Coordinated.System.Naive sc in
-      if v_fast <> v_naive then begin
+      if v_lazy <> v_naive then begin
         let rec first_diff i = function
           | f :: fs, n :: ns ->
               if String.equal f n then first_diff (i + 1) (fs, ns) else (i, f, n)
@@ -213,23 +214,24 @@ let test_differential_indexed_vs_naive () =
           | [], n :: _ -> (i, "<missing>", n)
           | [], [] -> (i, "<equal>", "<equal>")
         in
-        let i, f, n = first_diff 0 (v_fast, v_naive) in
+        let i, f, n = first_diff 0 (v_lazy, v_naive) in
         Alcotest.failf
-          "seed %d: verdict %d diverges@.  indexed: %s@.  naive:   %s" seed i f
+          "seed %d: verdict %d diverges@.  lazy:  %s@.  naive: %s" seed i f
           n
       end;
-      if not (String.equal log_fast log_naive) then
-        Alcotest.failf "seed %d: audit logs diverge@.indexed:@.%s@.naive:@.%s"
-          seed log_fast log_naive)
+      if not (String.equal log_lazy log_naive) then
+        Alcotest.failf "seed %d: audit logs diverge@.lazy:@.%s@.naive:@.%s"
+          seed log_lazy log_naive)
 
-(* Repeating the identical check must hit the verdict cache and still
-   agree with the naive path — the cache must never leak a stale
-   verdict into the comparison. *)
+(* Repeating the identical check must hit the lazy path's caches (RBAC
+   verdicts, applicable bindings, residual states) and still agree with
+   the naive path — no cache may leak a stale verdict into the
+   comparison. *)
 let test_differential_repeated_checks () =
   Gen.each_seed ~salt:31337 ~count:100 (fun ~seed rng ->
       let sc = Gen.coalition rng in
-      (* duplicate every check event so roughly half the indexed
-         decisions are cache hits *)
+      (* duplicate every check event so roughly half the lazy
+         decisions run on warm caches *)
       let sc =
         {
           sc with
@@ -240,18 +242,18 @@ let test_differential_repeated_checks () =
               sc.Parallel.Scenario.events;
         }
       in
-      let v_fast, log_fast = run_scenario Coordinated.System.Indexed sc in
+      let v_lazy, log_lazy = run_scenario Coordinated.System.Lazy sc in
       let v_naive, log_naive = run_scenario Coordinated.System.Naive sc in
       Alcotest.(check bool)
         (Printf.sprintf "seed %d: repeated-check verdicts agree" seed)
         true
-        (v_fast = v_naive && String.equal log_fast log_naive))
+        (v_lazy = v_naive && String.equal log_lazy log_naive))
 
 (* ------------------------------------------------------------------ *)
 (* Differential testing: the lazy-derivative decision path vs the
-   seed's linear path.  Stronger gate than the indexed one: besides
-   verdicts (with denial reasons) and audit logs, the *entire bus
-   trace* — every Stage_start/Stage_end span, every Decision and
+   seed's linear path, on its own seeds.  Stronger than the gate above:
+   besides verdicts (with denial reasons) and audit logs, the *entire
+   bus trace* — every Stage_start/Stage_end span, every Decision and
    Arrival event — must render byte-identically, because decide_lazy
    promises the naive path's exact observable behavior.  Failing
    coalitions are shrunk to a local minimum before reporting. *)
@@ -342,9 +344,9 @@ let test_differential_lazy_repeated_checks () =
 (* The uninstrumented branch ([?obs:None], the zero-allocation one)
    has no bus to compare, so drive Decision.decide_lazy and
    Decision.decide_naive directly against side-by-side monitors fed
-   identical histories: verdicts, clock movement and change epochs
-   must stay in lockstep through arrivals, refreshes, role flips and
-   grants. *)
+   identical histories: verdicts, clock movement, arrivals, proofs and
+   every binding's activation function must stay in lockstep through
+   arrivals, refreshes, role flips and grants. *)
 let test_differential_lazy_direct () =
   let module D = Coordinated.Decision in
   let module M = Coordinated.Monitor in
@@ -387,7 +389,7 @@ let test_differential_lazy_direct () =
             D.refresh_activation ~session ~monitor:m_naive ~bindings ~program
               ~time:!time ();
             D.refresh_activation_lazy ~session ~monitor:m_lazy ~bindings
-              ~team_version:0 ~team_history:0 ~program ~time:!time ()
+              ~program ~time:!time ()
         | 2 -> toggle_role ()
         | _ -> (
             let access = random_access () in
@@ -398,7 +400,7 @@ let test_differential_lazy_direct () =
             let v_lazy =
               D.decide_lazy ~session ~monitor:m_lazy
                 ~applicable:(Coordinated.Binding_index.applicable index access)
-                ~team_version:0 ~team_history:0 ~program ~time:!time access
+                ~program ~time:!time access
             in
             if v_naive <> v_lazy then
               Alcotest.failf
@@ -414,9 +416,15 @@ let test_differential_lazy_direct () =
         (Printf.sprintf "seed %d: monitors moved in lockstep" seed)
         true
         (Q.equal (M.now m_lazy) (M.now m_naive)
-        && M.location_epoch m_lazy = M.location_epoch m_naive
-        && M.activation_epoch m_lazy = M.activation_epoch m_naive
-        && M.history_epoch m_lazy = M.history_epoch m_naive))
+        && M.itinerary m_lazy = M.itinerary m_naive
+        && M.history_epoch m_lazy = M.history_epoch m_naive
+        && List.for_all
+             (fun b ->
+               let key = Coordinated.Perm_binding.key b in
+               Temporal.Step_fn.equal
+                 (M.activation_fn m_lazy ~key)
+                 (M.activation_fn m_naive ~key))
+             bindings))
 
 (* 8. The temporal-workflow family as a fuzz workload: the model-level
    safety properties must hold on workflow-shaped runs too.  (a) The
@@ -424,7 +432,7 @@ let test_differential_lazy_direct () =
    checker's own witness replays; (b) the unsatisfiable family never
    completes under *any* assignment the checker or brute force can
    find; (c) the checker's verdict is decision-mode independent —
-   Indexed vs Naive is a cache strategy, not a semantics. *)
+   Lazy vs Naive is an evaluation strategy, not a semantics. *)
 let test_workflow_family_invariants () =
   let module W = Scenarios.Workflow_family in
   let module Sat = Scenarios.Workflow_sat in
@@ -456,8 +464,8 @@ let test_workflow_family_invariants () =
       let adv = W.generate W.Adversarial rng in
       let verdict mode = Format.asprintf "%a" Sat.pp_verdict (Sat.check ~mode adv) in
       Alcotest.(check string)
-        (Printf.sprintf "seed %d: indexed = naive on workflows" seed)
-        (verdict Coordinated.System.Indexed)
+        (Printf.sprintf "seed %d: lazy = naive on workflows" seed)
+        (verdict Coordinated.System.Lazy)
         (verdict Coordinated.System.Naive))
 
 let test_workflow_unsat_never_completes () =
@@ -536,9 +544,8 @@ let () =
         ] );
       ( "differential",
         [
-          Alcotest.test_case
-            (Printf.sprintf "indexed = naive over %d coalitions" diff_runs)
-            `Quick test_differential_indexed_vs_naive;
+          Alcotest.test_case "lazy = naive, verdicts and logs" `Quick
+            test_differential_verdicts_and_logs;
           Alcotest.test_case "cache hits stay faithful" `Quick
             test_differential_repeated_checks;
           Alcotest.test_case

@@ -75,7 +75,7 @@ let random_bindings rng =
 (* Returns the control, the world and the trace capture; the capture
    sink subscribes right after [System.create] so it observes the whole
    run, spawn-time authentication included. *)
-let build_world ?(mode = Coordinated.System.Indexed) rng =
+let build_world ?(mode = Coordinated.System.Lazy) rng =
   let policy = random_policy rng in
   let bindings = random_bindings rng in
   let control = Coordinated.System.create ~mode ~bindings policy in
@@ -486,9 +486,7 @@ let test_sink_equivalence () =
         && List.for_all2 ( = ) projected logged))
 
 (* Decisions must not depend on the decision mode: the naive and the
-   indexed runs of the same coalition publish the same Decision events
-   (spans and cache probes legitimately differ — the fast path skips
-   work).                                                              *)
+   lazy runs of the same coalition publish the same Decision events. *)
 let test_decisions_mode_independent () =
   each_seed (fun seed _ ->
       let decisions mode =
@@ -499,7 +497,7 @@ let test_decisions_mode_independent () =
           (function Obs.Trace.Decision _ -> true | _ -> false)
           (trace ())
       in
-      let fast = decisions Coordinated.System.Indexed
+      let fast = decisions Coordinated.System.Lazy
       and naive = decisions Coordinated.System.Naive in
       Alcotest.(check bool)
         (Printf.sprintf "seed %d: decision events mode-independent" seed)

@@ -85,7 +85,8 @@ let test_conformance () =
     shard_counts
 
 (* 2. Naive mode too: sharding must be orthogonal to the decision-path
-   strategy, not an artifact of the indexed cache. *)
+   strategy, not an artifact of the lazy path's caches (test 1 runs the
+   default, Lazy). *)
 let test_conformance_naive_mode () =
   let slice = Array.sub corpus 0 60 in
   List.iter

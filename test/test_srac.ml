@@ -463,6 +463,71 @@ let test_lazy_cold_warm_identical () =
         true
         (s0 = stats ()))
 
+(* Inert accesses: outside [Formula.accesses c] and matched by no
+   cardinality selector of [c].  They are self-loops, so the machine
+   must step them to the same state without interning them, and
+   histories padded with them must keep nullability and feasibility
+   equal to the eager oracles, whose alphabets do include them. *)
+let test_lazy_inert_accesses () =
+  let rec selectors acc = function
+    | Formula.True | Formula.False | Formula.Atom _ | Formula.Ordered _ -> acc
+    | Formula.Card { sel; _ } -> sel :: acc
+    | Formula.And (c1, c2) | Formula.Or (c1, c2) ->
+        selectors (selectors acc c1) c2
+    | Formula.Not c1 -> selectors acc c1
+  in
+  let candidates =
+    [
+      read_ "a" "s2"; write_ "a" "s1"; read_ "b" "s2"; write_ "c" "s1";
+      read_ "zz" "s9"; Sral.Access.execute "a" ~at:"s1";
+    ]
+  in
+  let exercised = ref 0 in
+  Gen.each_seed ~salt:5152 ~count:300 (fun ~seed rng ->
+      let c = formula_gen rng in
+      let sels = selectors [] c in
+      let inert =
+        List.filter
+          (fun a ->
+            (not (List.exists (Sral.Access.equal a) (Formula.accesses c)))
+            && not (List.exists (fun sel -> Selector.matches sel a) sels))
+          candidates
+      in
+      if inert <> [] then incr exercised;
+      let m = Lazy_dfa.create c in
+      let q = ref (Lazy_dfa.start m) and padded = ref [] in
+      let check what =
+        let performed = List.rev !padded in
+        if
+          Lazy_dfa.nullable m !q <> sat performed c
+          || Lazy_dfa.feasible m !q
+             <> Program_sat.prefix_feasible ~performed c
+        then Alcotest.failf "seed %d: %s diverges from the oracles" seed what
+      in
+      List.iter
+        (fun a ->
+          q := Lazy_dfa.step_access m !q a;
+          padded := a :: !padded;
+          check "a performed access";
+          List.iter
+            (fun x ->
+              if Random.State.bool rng then begin
+                Alcotest.(check bool)
+                  (Printf.sprintf "seed %d: inert access classified" seed)
+                  true (Lazy_dfa.inert m x);
+                let symbols = Lazy_dfa.num_symbols m in
+                let q' = Lazy_dfa.step_access m !q x in
+                Alcotest.(check bool)
+                  (Printf.sprintf "seed %d: inert step is a self-loop" seed)
+                  true
+                  (q' = !q && Lazy_dfa.num_symbols m = symbols);
+                padded := x :: !padded;
+                check "an inert-padded history"
+              end)
+            inert)
+        (trace_gen rng 7));
+  Alcotest.(check bool) "inert accesses exercised" true (!exercised > 100)
+
 let lazy_machine_deterministic =
   QCheck.Test.make
     ~name:"two machines over the same trace are bit-identical" ~count:150
@@ -656,6 +721,8 @@ let () =
           QCheck_alcotest.to_alcotest lazy_feasible_matches_oracle;
           Alcotest.test_case "cold = warm, arena stays clean" `Quick
             test_lazy_cold_warm_identical;
+          Alcotest.test_case "inert accesses are self-loops" `Quick
+            test_lazy_inert_accesses;
           QCheck_alcotest.to_alcotest lazy_machine_deterministic;
         ] );
       ( "proofs",
