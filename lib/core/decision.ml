@@ -569,18 +569,16 @@ let rec first_spatial_failure_lazy ~session ~monitor ~companions ~program
       | Error detail ->
           Some (Spatial_violation { binding = Perm_binding.key b; detail }))
 
+(* Eq. 4.1 at the clock, straight from the slot's activation cell: the
+   clock has passed every arrival and activation change, so one walk
+   over the changes since the base time decides it
+   ({!Temporal.Validity.current}).  [temporal_state] is the oracle. *)
 let temporal_state_lazy ~monitor ~time slot (b : Perm_binding.t) =
   if not (Monitor.arrived monitor) then `Not_arrived
   else
-    match b.dur with
-    | None ->
-        (* no duration budget: the validity window union covers
-           [first arrival, ∞) under both schemes, so validity at the
-           (clock-current) query time is exactly the newest activation
-           state — the cell head.  Expiry needs a budget, so the
-           remaining distinction is only Valid/Inactive. *)
-        if Residual.active_now slot.Residual.cell then `Valid else `Inactive
-    | Some _ -> temporal_state ~monitor ~time b
+    Temporal.Validity.current
+      ~base:(Monitor.base_time monitor b.scheme)
+      ~dur:b.dur !(slot.Residual.cell) ~at:time
 
 let rec first_temporal_failure_lazy ~session ~monitor ~time = function
   | [] -> None

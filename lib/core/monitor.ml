@@ -4,6 +4,7 @@ type t = {
   object_id : string;
   proofs : Srac.Proof.store;
   mutable visits : (string * Q.t) list;  (* reverse order *)
+  mutable first_arrival : Q.t;  (* meaningful once [visits <> []] *)
   activations : (string, (Q.t * bool) list ref) Hashtbl.t;
       (* per key, reverse-order change list *)
   spatial_memo : (string, Sral.Ast.t * (unit, string) result) Hashtbl.t;
@@ -17,6 +18,7 @@ let create ~object_id =
     object_id;
     proofs = Srac.Proof.create ();
     visits = [];
+    first_arrival = Q.zero;
     activations = Hashtbl.create 8;
     spatial_memo = Hashtbl.create 8;
     residuals = Residual.create ();
@@ -37,10 +39,18 @@ let advance m time =
 
 let record_arrival m ~server ~time =
   advance m time;
+  if m.visits = [] then m.first_arrival <- time;
   m.visits <- (server, time) :: m.visits
 
 let arrivals m = List.rev_map snd m.visits
 let arrived m = m.visits <> []
+
+let base_time m (scheme : Temporal.Validity.scheme) =
+  match (m.visits, scheme) with
+  | [], _ -> invalid_arg "Monitor.base_time: no arrival yet"
+  | (_, latest) :: _, Per_server -> latest
+  | _ :: _, Whole_journey -> m.first_arrival
+
 let itinerary m = List.rev m.visits
 let current_server m = match m.visits with [] -> None | (s, _) :: _ -> Some s
 

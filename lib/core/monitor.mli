@@ -24,6 +24,11 @@ val arrivals : t -> Temporal.Q.t list
 val arrived : t -> bool
 (** [arrivals m <> []], without building the list. *)
 
+val base_time : t -> Temporal.Validity.scheme -> Temporal.Q.t
+(** Eq. 4.1's base time for a query at the clock, in O(1): the newest
+    arrival under [Per_server], the first under [Whole_journey].
+    @raise Invalid_argument before the first arrival. *)
+
 val itinerary : t -> (string * Temporal.Q.t) list
 (** Servers visited with arrival times, in order. *)
 

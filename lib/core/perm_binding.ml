@@ -14,6 +14,10 @@ type t = {
 let make ?spatial ?(spatial_modality = Srac.Program_sat.Exists)
     ?(spatial_scope = Program) ?(proof_scope = Own) ?dur
     ?(scheme = Temporal.Validity.Whole_journey) perm =
+  (match dur with
+  | Some d when Temporal.Q.sign d < 0 ->
+      invalid_arg "Perm_binding.make: negative duration"
+  | _ -> ());
   { perm; spatial; spatial_modality; spatial_scope; proof_scope; dur; scheme }
 
 let applies_to binding (a : Sral.Access.t) =

@@ -34,7 +34,8 @@ type t = {
           [Forall] suits prohibitions.  Only used for [Program] scope. *)
   spatial_scope : spatial_scope;
   proof_scope : proof_scope;
-  dur : Temporal.Q.t option;  (** validity duration; [None] = infinite *)
+  dur : Temporal.Q.t option;
+      (** validity duration, never negative; [None] = infinite *)
   scheme : Temporal.Validity.scheme;
 }
 
@@ -48,7 +49,8 @@ val make :
   Rbac.Perm.t ->
   t
 (** Defaults: no spatial constraint, [Exists], [Program] scope, [Own]
-    proofs, infinite duration, [Whole_journey]. *)
+    proofs, infinite duration, [Whole_journey].
+    @raise Invalid_argument if [dur] is negative. *)
 
 val applies_to : t -> Sral.Access.t -> bool
 (** Does the binding's permission pattern cover the access? *)

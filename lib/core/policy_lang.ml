@@ -70,8 +70,11 @@ let parse_bind_clauses line_no perm clauses =
         let dur =
           if d = "inf" then None
           else
-            try Some (Temporal.Q.of_string d)
-            with Invalid_argument m -> error line_no "%s" m
+            match Temporal.Q.of_string d with
+            | q when Temporal.Q.sign q < 0 ->
+                error line_no "negative duration %s" d
+            | q -> Some q
+            | exception Invalid_argument m -> error line_no "%s" m
         in
         loop { acc with Perm_binding.dur = dur } rest
     | "scheme" :: s :: rest ->

@@ -21,7 +21,8 @@
     v}
     A [bind] line takes any subset of the clauses [spatial "..."],
     [modality exists|forall], [scope program|performed|both],
-    [proofs own|team], [dur <rational>], [scheme journey|server]. *)
+    [proofs own|team], [dur <rational>], [scheme journey|server].  A
+    negative [dur] is a parse error on its line. *)
 
 type t = {
   policy : Rbac.Policy.t;

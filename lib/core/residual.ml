@@ -33,8 +33,6 @@ type cell = (Temporal.Q.t * bool) list ref
    Monitor.activations — cached in the slot so the hot path skips the
    hashtable probe *)
 
-let active_now (c : cell) = match !c with [] -> false | (_, v) :: _ -> v
-
 (* One team member's part of a Team-scope binding's history: the
    member's proof entries the binding's constraint can see (the
    non-inert ones, {!Srac.Lazy_dfa.inert}), in issue order. *)

@@ -75,5 +75,34 @@ let spent ~scheme ~arrivals ~dur active ~at =
   if Q.lt at base then Q.zero
   else Step_fn.integrate valid (Interval.make base at)
 
+(* Every arrival and change is at or before [at], so of [valid_fn]'s
+   windows only the last, [base, ∞), holds [at]; inside it valid is
+   active cut off where acc reaches dur, hence the verdict depends on
+   acc = ∫_base^at active alone. *)
+let current ~base ~dur changes ~at =
+  (match changes with
+  | (t, _) :: _ when Q.gt t at -> invalid_arg "Validity: change after query"
+  | _ -> ());
+  if Q.lt at base then invalid_arg "Validity: query before base time";
+  let active = match changes with [] -> false | (_, v) :: _ -> v in
+  match dur with
+  | None -> if active then `Valid else `Inactive
+  | Some dur ->
+      if Q.sign dur < 0 then invalid_arg "Validity: negative duration";
+      (* [hi] ends the segment the next-older change opens; equal-time
+         changes give empty segments *)
+      let rec since sum hi = function
+        | [] -> sum
+        | _ when Q.ge sum dur -> sum
+        | (t, v) :: older ->
+            let lo = Q.max t base in
+            let sum = if v then Q.add sum (Q.sub hi lo) else sum in
+            if Q.le t base then sum else since sum t older
+      in
+      if not active then `Inactive
+      else
+        let acc = since Q.zero at changes in
+        if Q.lt acc dur then `Valid else `Expired (Q.min acc dur)
+
 let as_dc_formula ~dur ~valid_var =
   Duration_calculus.Dur_cmp (State_expr.Var valid_var, Duration_calculus.Le, dur)

@@ -34,6 +34,16 @@ let test_binding_applies () =
   let wild = Perm_binding.make (Rbac.Perm.make ~operation:"*" ~target:"*@s1") in
   Alcotest.(check bool) "wildcard" true (Perm_binding.applies_to wild a_cfg)
 
+let test_binding_negative_dur () =
+  let perm = Rbac.Perm.make ~operation:"read" ~target:"db@s1" in
+  Alcotest.check_raises "negative dur"
+    (Invalid_argument "Perm_binding.make: negative duration") (fun () ->
+      ignore (Perm_binding.make ~dur:(Q.make (-1) 2) perm));
+  (* a zero budget is legal: the permission is never valid *)
+  let b = Perm_binding.make ~dur:Q.zero perm in
+  Alcotest.(check (option string)) "zero dur kept" (Some "0")
+    (Option.map Q.to_string b.Perm_binding.dur)
+
 (* --- monitor --- *)
 
 let test_monitor_arrivals_and_proofs () =
@@ -1118,6 +1128,41 @@ let test_policy_lang_errors () =
   check_error "bind read:x@y spatial \"%%%\"" 1;
   check_error "bind read:x@y modality maybe" 1
 
+(* A negative budget is a load-time error with its line number, never
+   an exception out of a later check; a zero budget loads and denies. *)
+let test_policy_lang_negative_dur () =
+  let text dur =
+    Printf.sprintf
+      "user u\nrole r\nassign u r\ngrant r read:*@*\nbind read:db@s1 dur %s \
+       scheme server"
+      dur
+  in
+  (match System.of_policy_text (text "-5") with
+  | exception Policy_lang.Error (line, msg) ->
+      Alcotest.(check int) "line number" 5 line;
+      Alcotest.(check string) "message" "negative duration -5" msg
+  | _ -> Alcotest.fail "a negative dur must not load");
+  (match Policy_lang.parse_binding "read:db@s1 dur -1/3" with
+  | exception Policy_lang.Error (1, _) -> ()
+  | _ -> Alcotest.fail "a negative binding line must not parse");
+  List.iter
+    (fun mode ->
+      let control = System.of_policy_text ~mode (text "0") in
+      let session = session_of control in
+      System.arrive control ~object_id:"o" ~server:"s1" ~time:Q.zero;
+      List.iter
+        (fun t ->
+          match
+            System.check control ~session ~object_id:"o"
+              ~program:(prog "read db @ s1") ~time:(q t) a_db
+          with
+          | Decision.Denied (Decision.Temporal_expired { spent; _ }) ->
+              Alcotest.(check string) "nothing spent" "0" (Q.to_string spent)
+          | v ->
+              Alcotest.failf "zero budget at %d: %a" t Decision.pp_verdict v)
+        [ 0; 1; 2 ])
+    [ System.Lazy; System.Naive ]
+
 let test_of_policy_text_end_to_end () =
   let control = System.of_policy_text policy_text_fixed in
   let session = System.new_session control ~user:"alice" in
@@ -1141,7 +1186,12 @@ let test_of_policy_text_end_to_end () =
 let () =
   Alcotest.run "coordinated"
     [
-      ("binding", [ Alcotest.test_case "applies_to" `Quick test_binding_applies ]);
+      ( "binding",
+        [
+          Alcotest.test_case "applies_to" `Quick test_binding_applies;
+          Alcotest.test_case "negative dur rejected" `Quick
+            test_binding_negative_dur;
+        ] );
       ( "monitor",
         [
           Alcotest.test_case "arrivals/proofs" `Quick
@@ -1244,6 +1294,8 @@ let () =
           Alcotest.test_case "binding line roundtrip" `Quick
             test_policy_lang_binding_roundtrip;
           Alcotest.test_case "errors" `Quick test_policy_lang_errors;
+          Alcotest.test_case "negative dur rejected at load" `Quick
+            test_policy_lang_negative_dur;
           Alcotest.test_case "end to end" `Quick test_of_policy_text_end_to_end;
         ] );
     ]

@@ -201,11 +201,25 @@ let run_scenario mode sc =
 
 let diff_runs = 500
 
+(* The gate must reach the lazy temporal stage's every outcome, so it
+   counts the rendered temporal denials over its seeds. *)
+let is_expired v = String.starts_with ~prefix:"denied: validity of " v
+
+let is_not_active v =
+  String.starts_with ~prefix:"denied: permission " v
+  && String.ends_with ~suffix:" is not active" v
+
 let test_differential_verdicts_and_logs () =
+  let expired = ref 0 and not_active = ref 0 in
   Gen.each_seed ~salt:4242 ~count:diff_runs (fun ~seed rng ->
       let sc = Gen.coalition rng in
       let v_lazy, log_lazy = run_scenario Coordinated.System.Lazy sc in
       let v_naive, log_naive = run_scenario Coordinated.System.Naive sc in
+      List.iter
+        (fun v ->
+          if is_expired v then incr expired
+          else if is_not_active v then incr not_active)
+        v_lazy;
       if v_lazy <> v_naive then begin
         let rec first_diff i = function
           | f :: fs, n :: ns ->
@@ -221,7 +235,12 @@ let test_differential_verdicts_and_logs () =
       end;
       if not (String.equal log_lazy log_naive) then
         Alcotest.failf "seed %d: audit logs diverge@.lazy:@.%s@.naive:@.%s"
-          seed log_lazy log_naive)
+          seed log_lazy log_naive);
+  if !expired = 0 || !not_active = 0 then
+    Alcotest.failf
+      "temporal stage not exercised: %d Temporal_expired, %d Not_active \
+       verdicts over %d coalitions"
+      !expired !not_active diff_runs
 
 (* Repeating the identical check must hit the lazy path's caches (RBAC
    verdicts, applicable bindings, residual states) and still agree with

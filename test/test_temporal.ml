@@ -403,7 +403,119 @@ let test_validity_errors () =
     (Invalid_argument "Validity: arrivals not sorted") (fun () ->
       ignore
         (Validity.valid_fn ~scheme:Validity.Whole_journey
-           ~arrivals:[ q 5; q 1 ] ~dur:None active))
+           ~arrivals:[ q 5; q 1 ] ~dur:None active));
+  Alcotest.check_raises "negative duration (oracle)"
+    (Invalid_argument "Validity: negative duration") (fun () ->
+      ignore
+        (Validity.valid_fn ~scheme:Validity.Whole_journey ~arrivals:[ q 0 ]
+           ~dur:(Some (q (-1))) active));
+  let current ?(base = q 0) ?(dur = Some (q 1)) changes at =
+    ignore (Validity.current ~base ~dur changes ~at:(q at))
+  in
+  Alcotest.check_raises "negative duration (current)"
+    (Invalid_argument "Validity: negative duration") (fun () ->
+      current ~dur:(Some (q (-1))) [ (q 0, true) ] 1);
+  Alcotest.check_raises "change after the query"
+    (Invalid_argument "Validity: change after query") (fun () ->
+      current [ (q 2, true) ] 1);
+  Alcotest.check_raises "query before the base time"
+    (Invalid_argument "Validity: query before base time") (fun () ->
+      current ~base:(q 3) [] 1)
+
+(* [Validity.current] against the step-function oracle.  A case is one
+   timeline over half-unit instants 0..10: arrivals with a repeated
+   instant, activation changes with a double flip at one instant and a
+   change exactly at an arrival.  It is queried at every arrival and
+   change instant and past them all, each time on the prefix a monitor
+   would hold with its clock there — so queries land exactly on t_b and
+   exactly on the newest change. *)
+type timeline = {
+  scheme : Validity.scheme;
+  dur : Q.t option;
+  arrivals : int list;  (* half units, ascending *)
+  changes : (int * bool) list;  (* half units, oldest first *)
+}
+
+let half k = qq k 2
+
+let timeline_gen =
+  let open QCheck.Gen in
+  let* scheme = oneofl [ Validity.Per_server; Validity.Whole_journey ] in
+  let* dur =
+    oneof
+      [
+        return None;
+        return (Some Q.zero);
+        map (fun k -> Some (half k)) (int_range 1 6);
+        return (Some (q 50));
+      ]
+  in
+  let* arrivals = list_size (int_range 1 4) (int_range 0 20) in
+  let* repeated = oneofl arrivals in
+  let arrivals = List.sort compare (repeated :: arrivals) in
+  let* random = list_size (int_range 0 8) (pair (int_range 0 20) bool) in
+  let* flip_at = int_range 0 20 in
+  let* flip_to = bool in
+  let* at_base = oneofl arrivals in
+  let* base_to = bool in
+  let changes =
+    List.stable_sort
+      (fun (a, _) (b, _) -> compare a b)
+      (random
+      @ [ (flip_at, flip_to); (flip_at, not flip_to); (at_base, base_to) ])
+  in
+  return { scheme; dur; arrivals; changes }
+
+let pp_timeline tl =
+  Printf.sprintf "%s dur=%s arrivals=[%s] changes=[%s] (half units)"
+    (Format.asprintf "%a" Validity.pp_scheme tl.scheme)
+    (match tl.dur with None -> "inf" | Some d -> Q.to_string d)
+    (String.concat ";" (List.map string_of_int tl.arrivals))
+    (String.concat ";"
+       (List.map (fun (t, v) -> Printf.sprintf "%d:%b" t v) tl.changes))
+
+let current_agrees_with_oracle =
+  QCheck.Test.make
+    ~name:"Validity.current = is_valid_at + spent (random timelines)"
+    ~count:600
+    (QCheck.make ~print:pp_timeline timeline_gen)
+    (fun tl ->
+      let scheme = tl.scheme and dur = tl.dur in
+      let queries =
+        List.sort_uniq compare ((21 :: tl.arrivals) @ List.map fst tl.changes)
+      in
+      List.for_all
+        (fun at_k ->
+          match List.filter (fun a -> a <= at_k) tl.arrivals with
+          | [] -> true
+          | first :: _ as upto ->
+              let at = half at_k in
+              let arrivals = List.map half upto in
+              let changes =
+                List.filter_map
+                  (fun (t, v) -> if t <= at_k then Some (half t, v) else None)
+                  tl.changes
+              in
+              let active = Step_fn.of_changes ~init:false changes in
+              let expected =
+                if Validity.is_valid_at ~scheme ~arrivals ~dur active at then
+                  `Valid
+                else if Step_fn.value_at active at then
+                  `Expired (Validity.spent ~scheme ~arrivals ~dur active ~at)
+                else `Inactive
+              in
+              let base =
+                match scheme with
+                | Validity.Whole_journey -> half first
+                | Validity.Per_server -> half (List.nth upto (List.length upto - 1))
+              in
+              let got = Validity.current ~base ~dur (List.rev changes) ~at in
+              match (expected, got) with
+              | `Valid, `Valid | `Inactive, `Inactive -> true
+              | `Expired a, `Expired b -> Q.equal a b
+              | _ ->
+                  QCheck.Test.fail_reportf "query at %d (half units)" at_k)
+        queries)
 
 let validity_never_exceeds_dur =
   QCheck.Test.make
@@ -674,5 +786,6 @@ let () =
           Alcotest.test_case "spent" `Quick test_validity_spent;
           Alcotest.test_case "errors" `Quick test_validity_errors;
           QCheck_alcotest.to_alcotest validity_never_exceeds_dur;
+          QCheck_alcotest.to_alcotest current_agrees_with_oracle;
         ] );
     ]
