@@ -1252,11 +1252,14 @@ let e22_report () =
     end
   in
   let decider bindings =
-    let monitor = Coordinated.Monitor.create ~object_id:"o0" in
+    let monitor = Coordinated.Monitor.create ~object_id:"o0" () in
     Coordinated.Monitor.record_arrival monitor ~server:"s1" ~time:Q.zero;
+    let applicable = List.mapi (fun id b -> (id, b)) bindings in
     let decide access =
-      Coordinated.Decision.decide_lazy ~session ~monitor ~applicable:bindings
-        ~program ~time:Q.one access
+      Coordinated.Decision.decide_lazy ~session ~monitor ~applicable
+        ~program ~time:Q.one
+        ~access_id:(Sral.Access.Ids.intern (Coordinated.Monitor.ids monitor) access)
+        access
     in
     ignore (decide access);
     ignore (decide access);

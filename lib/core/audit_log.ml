@@ -17,8 +17,8 @@ type t = {
   capacity : int option;
   mutable total : int;
   mutable granted_total : int;
-  object_counts : (string, int) Hashtbl.t;
-  server_counts : (string, int) Hashtbl.t;
+  object_counts : (string, int ref) Hashtbl.t;
+  server_counts : (string, int ref) Hashtbl.t;
 }
 
 let create ?capacity () =
@@ -40,9 +40,11 @@ let create ?capacity () =
     server_counts = Hashtbl.create 16;
   }
 
+(* one probe per record once the key has a cell *)
 let bump table key =
-  Hashtbl.replace table key
-    (1 + Option.value ~default:0 (Hashtbl.find_opt table key))
+  match Hashtbl.find table key with
+  | n -> incr n
+  | exception Not_found -> Hashtbl.add table key (ref 1)
 
 let grow log =
   let bigger = Array.make (2 * Array.length log.buf) None in
@@ -77,11 +79,11 @@ let retained log = log.len
 let granted_count log = log.granted_total
 let denied_count log = log.total - log.granted_total
 
-let count_by_object log id =
-  Option.value ~default:0 (Hashtbl.find_opt log.object_counts id)
+let count table key =
+  match Hashtbl.find table key with n -> !n | exception Not_found -> 0
 
-let count_by_server log server =
-  Option.value ~default:0 (Hashtbl.find_opt log.server_counts server)
+let count_by_object log id = count log.object_counts id
+let count_by_server log server = count log.server_counts server
 
 let entries log =
   List.filter_map

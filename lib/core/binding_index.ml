@@ -4,14 +4,15 @@
    (wildcards included), so a lookup probes at most the 8 combinations
    of concrete-vs-"*" per field instead of scanning every binding. *)
 
-(* a resolved [applicable] list, valid while [version] is unchanged *)
-type memo = { mutable stamp : int; mutable result : Perm_binding.t list }
+type entry = int * Perm_binding.t
 
 type t = {
   mutable slots : Perm_binding.t option array;
   mutable len : int;
   buckets : (string, int list ref) Hashtbl.t;  (* reverse insertion order *)
-  memo : memo Sral.Access.Tbl.t;
+  mutable stamps : int array;
+      (* by access id: the [version] [results] was resolved at, or -1 *)
+  mutable results : entry list array;  (* by access id *)
 }
 
 let create () =
@@ -19,7 +20,8 @@ let create () =
     slots = Array.make 8 None;
     len = 0;
     buckets = Hashtbl.create 16;
-    memo = Sral.Access.Tbl.create 16;
+    stamps = [||];
+    results = [||];
   }
 
 let length t = t.len
@@ -97,24 +99,34 @@ let resolve t (a : Sral.Access.t) =
   in
   (* ascending slot index = binding-store insertion order, the order the
      linear scan would have produced *)
-  let indices = List.sort_uniq Int.compare indices in
-  let candidates = List.filter_map (fun i -> t.slots.(i)) indices in
-  (* buckets are a conservative over-approximation (string collisions in
-     exotic resource names are possible); the matcher has the last word *)
-  List.filter (fun b -> Perm_binding.applies_to b a) candidates
+  List.sort_uniq Int.compare indices
+  |> List.filter_map (fun i ->
+         match t.slots.(i) with
+         (* buckets are a conservative over-approximation (string
+            collisions in exotic resource names are possible); the
+            matcher has the last word *)
+         | Some b when Perm_binding.applies_to b a -> Some (i, b)
+         | _ -> None)
 
 (* Bucket probing builds 8 key strings and sorts; the answer depends
    only on the access and the store's contents, so it is resolved once
-   per access and store version. *)
-let applicable t a =
-  match Sral.Access.Tbl.find t.memo a with
-  | m when m.stamp = t.len -> m.result
-  | m ->
-      let result = resolve t a in
-      m.stamp <- t.len;
-      m.result <- result;
-      result
-  | exception Not_found ->
-      let result = resolve t a in
-      Sral.Access.Tbl.add t.memo a { stamp = t.len; result };
-      result
+   per access id and store version. *)
+let applicable t ~id a =
+  if id >= 0 && id < Array.length t.stamps && t.stamps.(id) = t.len then
+    t.results.(id)
+  else begin
+    let result = resolve t a in
+    if id >= 0 then begin
+      if id >= Array.length t.stamps then begin
+        let n = max (2 * Array.length t.stamps) (max 16 (id + 1)) in
+        let stamps = Array.make n (-1) and results = Array.make n [] in
+        Array.blit t.stamps 0 stamps 0 (Array.length t.stamps);
+        Array.blit t.results 0 results 0 (Array.length t.results);
+        t.stamps <- stamps;
+        t.results <- results
+      end;
+      t.stamps.(id) <- t.len;
+      t.results.(id) <- result
+    end;
+    result
+  end

@@ -63,13 +63,16 @@ let history ~monitor ~companions (b : Perm_binding.t) =
    access must satisfy the constraint.  Every access in that trace
    either has a proof already or is about to get one, so Definition
    3.6's Pr_x conjunct is vacuous here. *)
-let performed_scope_ok ~monitor ~companions ~access b c =
-  let hypothetical = history ~monitor ~companions b @ [ access ] in
+let history_check ~history ~access c =
+  let hypothetical = history @ [ access ] in
   if Srac.Trace_sat.sat ~proofs:Srac.Proof.always hypothetical c then Ok ()
   else
     match Srac.Trace_sat.explain ~proofs:Srac.Proof.always hypothetical c with
     | Ok () -> Ok ()
     | Error detail -> Error ("history: " ^ detail)
+
+let performed_scope_ok ~monitor ~companions ~access b c =
+  history_check ~history:(history ~monitor ~companions b) ~access c
 
 let spatial_ok ~monitor ~companions ~program ~access
     (binding : Perm_binding.t) =
@@ -252,14 +255,20 @@ let batch ?obs ~bindings requests =
    the object's performed history; each decision folds only the
    not-yet-seen proof entries into the residual state, then answers
    grant (residual nullability after the access) and activation
-   (residual feasibility) from memoized per-state bits.  Denial details
-   fall back to the eager oracle so messages stay byte-identical. *)
+   (residual feasibility) from memoized per-state bits.  A denial
+   builds its detail with the oracle's check over the binding's
+   non-inert history, so messages stay byte-identical.
 
-let get_slot ~session ~monitor (b : Perm_binding.t) =
+   Everything per binding is found by the binding's id (its
+   {!Binding_index} position) and everything per access by the
+   access's {!Sral.Access.Ids} id, which the proof entries carry: the
+   warm path reads arrays and hashes nothing. *)
+
+let get_slot ~session ~monitor id (b : Perm_binding.t) =
   let store = Monitor.residuals monitor in
-  match Residual.Binding_tbl.find store.Residual.slots b with
-  | slot -> slot
-  | exception Not_found ->
+  match Residual.find store.Residual.slots id with
+  | Some slot when slot.Residual.binding == b -> slot
+  | _ ->
       let machine =
         match (b.spatial, b.spatial_scope) with
         | Some c, (Perm_binding.Performed | Perm_binding.Both) ->
@@ -268,7 +277,8 @@ let get_slot ~session ~monitor (b : Perm_binding.t) =
       in
       let slot =
         {
-          Residual.machine;
+          Residual.binding = b;
+          machine;
           cell = Monitor.activation_cell monitor ~key:(Perm_binding.key b);
           own_state = 0;
           own_consumed = 0;
@@ -284,7 +294,8 @@ let get_slot ~session ~monitor (b : Perm_binding.t) =
           prog_result = Ok ();
         }
       in
-      Residual.Binding_tbl.add store.Residual.slots b slot;
+      store.Residual.slots <- Residual.ensure store.Residual.slots id;
+      store.Residual.slots.(id) <- Some slot;
       slot
 
 let machine_of slot =
@@ -325,23 +336,25 @@ let program_ok_cached ~monitor ~program slot (b : Perm_binding.t) c =
       slot.Residual.prog_result <- r;
       r
 
-(* Same caching argument for the full per-access RBAC verdict. *)
-let rbac_cached ~session ~monitor access =
+(* Same caching argument for the full per-access RBAC verdict, kept
+   per access id. *)
+let rbac_cached ~session ~monitor ~access_id access =
   let store = Monitor.residuals monitor in
   let v = Rbac.Session.version session in
-  match Residual.Access_tbl.find store.Residual.rbac access with
-  | e when e.Residual.r_session == session && e.Residual.r_version = v ->
+  match Residual.find store.Residual.rbac access_id with
+  | Some e when e.Residual.r_session == session && e.Residual.r_version = v ->
       e.Residual.r_verdict
-  | e ->
+  | Some e ->
       let verdict = Rbac.Engine.decide_access session access in
       e.Residual.r_session <- session;
       e.Residual.r_version <- v;
       e.Residual.r_verdict <- verdict;
       verdict
-  | exception Not_found ->
+  | None ->
       let verdict = Rbac.Engine.decide_access session access in
-      Residual.Access_tbl.add store.Residual.rbac access
-        { Residual.r_session = session; r_version = v; r_verdict = verdict };
+      store.Residual.rbac <- Residual.ensure store.Residual.rbac access_id;
+      store.Residual.rbac.(access_id) <-
+        Some { Residual.r_session = session; r_version = v; r_verdict = verdict };
       verdict
 
 (* Fold the [k] newest proof entries (given newest-first) into the
@@ -354,8 +367,7 @@ let rec fold_newest machine slot k (entries : Srac.Proof.entry list) =
     | e :: older ->
         fold_newest machine slot (k - 1) older;
         slot.Residual.own_state <-
-          Srac.Lazy_dfa.step_access machine slot.Residual.own_state
-            e.Srac.Proof.access
+          Srac.Lazy_dfa.step_entry machine slot.Residual.own_state e
 
 (* The monitor clock forces non-decreasing proof times, so insertion
    order is execution-time order and the cursor fold visits entries
@@ -386,24 +398,17 @@ let rec scan_newest machine sub k (entries : Srac.Proof.entry list) =
     | [] -> ()
     | e :: older ->
         scan_newest machine sub (k - 1) older;
-        if not (Srac.Lazy_dfa.inert machine e.access) then Residual.push sub e
+        if not (Srac.Lazy_dfa.inert_entry machine e) then Residual.push sub e
 
-let member_sub machine b m =
+let member_sub machine id b m =
   let store = Monitor.residuals m in
-  let subs =
-    match store.Residual.subs with
-    | Some subs -> subs
-    | None ->
-        let subs = Residual.Binding_tbl.create 4 in
-        store.Residual.subs <- Some subs;
-        subs
-  in
   let sub =
-    match Residual.Binding_tbl.find subs b with
-    | sub -> sub
-    | exception Not_found ->
-        let sub = Residual.new_sub () in
-        Residual.Binding_tbl.add subs b sub;
+    match Residual.find store.Residual.subs id with
+    | Some ({ Residual.owner = Some o; _ } as sub) when o == b -> sub
+    | _ ->
+        let sub = Residual.new_sub b in
+        store.Residual.subs <- Residual.ensure store.Residual.subs id;
+        store.Residual.subs.(id) <- Some sub;
         sub
   in
   let total = Monitor.history_epoch m in
@@ -432,29 +437,34 @@ let rec earliest (best : Residual.sub) = function
       in
       earliest best rest
 
-let fold_team machine subs =
+let fold_merge f acc subs =
   List.iter (fun (s : Residual.sub) -> s.pos <- 0) subs;
-  let rec go q =
+  let rec go acc =
     let s = earliest Residual.exhausted subs in
-    if s == Residual.exhausted then q
+    if s == Residual.exhausted then acc
     else begin
       let e = s.entries.(s.pos) in
       s.pos <- s.pos + 1;
-      go (Srac.Lazy_dfa.step_access machine q e.Srac.Proof.access)
+      go (f acc e)
     end
   in
-  go (Srac.Lazy_dfa.start machine)
+  go acc
+
+let fold_team machine subs =
+  fold_merge (Srac.Lazy_dfa.step_entry machine) (Srac.Lazy_dfa.start machine)
+    subs
 
 (* Same members, physically, and none of their lists grew since the
    last fold?  Lists only grow, so equal summed lengths mean equal
    lists. *)
-let rec team_unchanged machine b slot total prev members =
+let rec team_unchanged machine id b slot total prev members =
   match (prev, members) with
   | [], [] -> total = slot.Residual.team_len
   | s :: prev, m :: members ->
-      let s' = member_sub machine b m in
+      let s' = member_sub machine id b m in
       s' == s
-      && team_unchanged machine b slot (total + s'.Residual.len) prev members
+      && team_unchanged machine id b slot (total + s'.Residual.len) prev
+           members
   | _ -> false
 
 let same_members prev subs =
@@ -476,16 +486,30 @@ let renew_if_widened slot (b : Perm_binding.t) machine =
       fresh
   | _ -> machine
 
-let team_state ~monitor ~companions slot b =
+(* The entries' ids index the machine's id table, so every member must
+   number its proofs with the requester's interner. *)
+let same_interner ~monitor companions =
+  let ids = Monitor.ids monitor in
+  List.iter
+    (fun c ->
+      if Monitor.ids c != ids then
+        invalid_arg
+          "Decision.decide_lazy: companions must share the monitor's access \
+           interner")
+    companions
+
+let team_state ~monitor ~companions slot id b =
   let machine = machine_of slot in
-  let own = member_sub machine b monitor in
+  let own = member_sub machine id b monitor in
   match slot.Residual.team_subs with
   | s :: prev
     when s == own
-         && team_unchanged machine b slot own.Residual.len prev companions ->
+         && team_unchanged machine id b slot own.Residual.len prev companions
+    ->
       slot.Residual.team_state
   | previous ->
-      let subs = own :: List.map (member_sub machine b) companions in
+      same_interner ~monitor companions;
+      let subs = own :: List.map (member_sub machine id b) companions in
       let machine =
         match previous with
         | _ :: _ when not (same_members previous subs) ->
@@ -499,14 +523,36 @@ let team_state ~monitor ~companions slot b =
         List.fold_left (fun n (s : Residual.sub) -> n + s.len) 0 subs;
       q
 
-let scope_state ~monitor ~companions slot (b : Perm_binding.t) =
+let scope_state ~monitor ~companions slot id (b : Perm_binding.t) =
   match b.proof_scope with
   | Perm_binding.Own -> own_state ~monitor slot
-  | Perm_binding.Team -> team_state ~monitor ~companions slot b
+  | Perm_binding.Team -> team_state ~monitor ~companions slot id b
 
-let refresh_one_lazy ~session ~monitor ~companions ~program ~time
+(* The binding's history without its inert entries, in time order,
+   read off state [scope_state] has just brought up to date: the own
+   proofs filtered by the machine, or the merge of the team's subs
+   (which hold only non-inert entries).  An inert access changes no
+   Atom, Ordered or Card answer, so [history_check] over this trace
+   gives the oracle's verdict and detail string over the full history
+   (property-tested in test_srac). *)
+let visible_history ~monitor slot (b : Perm_binding.t) =
+  match b.proof_scope with
+  | Perm_binding.Own ->
+      let machine = machine_of slot in
+      List.fold_left
+        (fun acc (e : Srac.Proof.entry) ->
+          if Srac.Lazy_dfa.inert_entry machine e then acc else e.access :: acc)
+        []
+        (Srac.Proof.rev_entries (Monitor.proofs monitor))
+  | Perm_binding.Team ->
+      List.rev
+        (fold_merge
+           (fun acc (e : Srac.Proof.entry) -> e.access :: acc)
+           [] slot.Residual.team_subs)
+
+let refresh_one_lazy ~session ~monitor ~companions ~program ~time id
     (b : Perm_binding.t) =
-  let slot = get_slot ~session ~monitor b in
+  let slot = get_slot ~session ~monitor id b in
   let rbac_ok = slot_may_ok ~session slot b in
   let spatial_active =
     match b.spatial with
@@ -516,7 +562,7 @@ let refresh_one_lazy ~session ~monitor ~companions ~program ~time
         | Perm_binding.Program | Perm_binding.Both ->
             Result.is_ok (program_ok_cached ~monitor ~program slot b c)
         | Perm_binding.Performed ->
-            let q = scope_state ~monitor ~companions slot b in
+            let q = scope_state ~monitor ~companions slot id b in
             Srac.Lazy_dfa.feasible (machine_of slot) q)
   in
   Monitor.set_active_cell monitor slot.Residual.cell ~time
@@ -525,47 +571,49 @@ let refresh_one_lazy ~session ~monitor ~companions ~program ~time
 let rec refresh_all_lazy ~session ~monitor ~companions ~program ~time =
   function
   | [] -> ()
-  | b :: rest ->
-      refresh_one_lazy ~session ~monitor ~companions ~program ~time b;
+  | (id, b) :: rest ->
+      refresh_one_lazy ~session ~monitor ~companions ~program ~time id b;
       refresh_all_lazy ~session ~monitor ~companions ~program ~time rest
 
-let performed_ok_lazy ~session ~monitor ~companions ~access
+let performed_ok_lazy ~monitor ~companions ~access_id ~access slot id
     (b : Perm_binding.t) c =
-  let slot = get_slot ~session ~monitor b in
-  let q = scope_state ~monitor ~companions slot b in
-  if Srac.Lazy_dfa.nullable_after (machine_of slot) q access then Ok ()
+  let q = scope_state ~monitor ~companions slot id b in
+  if Srac.Lazy_dfa.nullable_after (machine_of slot) q ~id:access_id access then
+    Ok ()
   else
-    (* deny: rerun the oracle so the denial detail is byte-identical
-       (and a residual false-negative can never deny a granting
-       oracle — equivalence of the grant direction is enforced by the
-       residual property tests and the differential gate) *)
-    performed_scope_ok ~monitor ~companions ~access b c
+    (* deny: the oracle's check over the non-inert history builds the
+       byte-identical detail (and its [sat] means a residual
+       false-negative can never deny a granting oracle) *)
+    history_check ~history:(visible_history ~monitor slot b) ~access c
 
-let spatial_ok_lazy ~session ~monitor ~companions ~program ~access
-    (b : Perm_binding.t) =
+let spatial_ok_lazy ~session ~monitor ~companions ~program ~access_id ~access
+    id (b : Perm_binding.t) =
   match b.spatial with
   | None -> Ok ()
   | Some c -> (
-      let slot = get_slot ~session ~monitor b in
+      let slot = get_slot ~session ~monitor id b in
       match b.spatial_scope with
       | Perm_binding.Program -> program_ok_cached ~monitor ~program slot b c
       | Perm_binding.Performed ->
-          performed_ok_lazy ~session ~monitor ~companions ~access b c
+          performed_ok_lazy ~monitor ~companions ~access_id ~access slot id b c
       | Perm_binding.Both -> (
           match program_ok_cached ~monitor ~program slot b c with
-          | Ok () -> performed_ok_lazy ~session ~monitor ~companions ~access b c
+          | Ok () ->
+              performed_ok_lazy ~monitor ~companions ~access_id ~access slot id
+                b c
           | Error _ as failure -> failure))
 
 let rec first_spatial_failure_lazy ~session ~monitor ~companions ~program
-    ~access = function
+    ~access_id ~access = function
   | [] -> None
-  | b :: rest -> (
+  | (id, b) :: rest -> (
       match
-        spatial_ok_lazy ~session ~monitor ~companions ~program ~access b
+        spatial_ok_lazy ~session ~monitor ~companions ~program ~access_id
+          ~access id b
       with
       | Ok () ->
           first_spatial_failure_lazy ~session ~monitor ~companions ~program
-            ~access rest
+            ~access_id ~access rest
       | Error detail ->
           Some (Spatial_violation { binding = Perm_binding.key b; detail }))
 
@@ -582,8 +630,8 @@ let temporal_state_lazy ~monitor ~time slot (b : Perm_binding.t) =
 
 let rec first_temporal_failure_lazy ~session ~monitor ~time = function
   | [] -> None
-  | b :: rest -> (
-      let slot = get_slot ~session ~monitor b in
+  | (id, b) :: rest -> (
+      let slot = get_slot ~session ~monitor id b in
       match temporal_state_lazy ~monitor ~time slot b with
       | `Valid -> first_temporal_failure_lazy ~session ~monitor ~time rest
       | `Inactive -> Some (Not_active (Perm_binding.key b))
@@ -592,21 +640,21 @@ let rec first_temporal_failure_lazy ~session ~monitor ~time = function
           Some (Temporal_expired { binding = Perm_binding.key b; spent }))
 
 let decide_lazy ?obs ?(companions = []) ~session ~monitor ~applicable ~program
-    ~time access =
+    ~time ~access_id access =
   match obs with
   | None -> (
       (* uninstrumented fast path: no span closures, short-circuits at
          the first spatial failure (the skipped evaluations have no
          observable effect — they only warm caches that later
          decisions recompute identically) *)
-      let rbac = rbac_cached ~session ~monitor access in
+      let rbac = rbac_cached ~session ~monitor ~access_id access in
       refresh_all_lazy ~session ~monitor ~companions ~program ~time applicable;
       match rbac with
       | Rbac.Engine.Denied why -> Denied (Rbac_denied why)
       | Rbac.Engine.Granted -> (
           match
             first_spatial_failure_lazy ~session ~monitor ~companions ~program
-              ~access applicable
+              ~access_id ~access applicable
           with
           | Some reason -> Denied reason
           | None -> (
@@ -623,7 +671,7 @@ let decide_lazy ?obs ?(companions = []) ~session ~monitor ~applicable ~program
           (function
             | Rbac.Engine.Granted -> true
             | Rbac.Engine.Denied _ -> false)
-          (fun () -> rbac_cached ~session ~monitor access)
+          (fun () -> rbac_cached ~session ~monitor ~access_id access)
       in
       let spatial_results =
         span ~obs ~monitor ~time Obs.Trace.Spatial
@@ -632,10 +680,10 @@ let decide_lazy ?obs ?(companions = []) ~session ~monitor ~applicable ~program
             refresh_all_lazy ~session ~monitor ~companions ~program ~time
               applicable;
             List.map
-              (fun b ->
+              (fun (id, b) ->
                 ( b,
                   spatial_ok_lazy ~session ~monitor ~companions ~program
-                    ~access b ))
+                    ~access_id ~access id b ))
               applicable)
       in
       match rbac with
@@ -666,7 +714,9 @@ let decide_lazy ?obs ?(companions = []) ~session ~monitor ~applicable ~program
 
 let refresh_activation_lazy ?(companions = []) ~session ~monitor ~bindings
     ~program ~time () =
-  refresh_all_lazy ~session ~monitor ~companions ~program ~time bindings
+  List.iteri
+    (refresh_one_lazy ~session ~monitor ~companions ~program ~time)
+    bindings
 
 let validity_dc_check ~monitor ~(binding : Perm_binding.t) ~time =
   match binding.dur with

@@ -91,29 +91,37 @@ val decide_lazy :
   ?companions:Monitor.t list ->
   session:Rbac.Session.t ->
   monitor:Monitor.t ->
-  applicable:Perm_binding.t list ->
+  applicable:Binding_index.entry list ->
   program:Sral.Ast.t ->
   time:Temporal.Q.t ->
+  access_id:int ->
   Sral.Access.t ->
   verdict
 (** The production decision path.  [applicable] is the pre-filtered
-    binding list (from {!Binding_index.applicable}), in binding-store
-    insertion order — the caller is trusted to pass exactly the
-    bindings {!decide} would have selected.  Observationally identical
-    to {!decide_naive} on the same inputs — verdicts, denial strings,
-    stage spans, monitor clock and activation movement — but evaluates
-    history-scope spatial constraints incrementally: each binding owns
-    a {!Srac.Lazy_dfa} machine in the monitor's {!Residual} store, a
-    cursor folds newly performed accesses into the residual state, and
-    the grant / activation answers are memoized per-state nullability
-    / feasibility bits.  A [Team]-scope binding folds the merge of the
-    members' non-inert sub-histories, and only when one of them grew
-    or the team changed.  RBAC verdicts and role checks are cached per
-    access / binding, stamped by {!Rbac.Session.version}.  With [obs]
-    the three stage spans are emitted exactly as the naive path does;
-    without it the decision short-circuits at the first failure and
-    the warm path performs zero allocation (benchmarked in E22,
-    differentially fuzzed in [test/test_fuzz.ml]). *)
+    binding list with the bindings' ids (from
+    {!Binding_index.applicable}), in binding-store insertion order — the
+    caller is trusted to pass exactly the bindings {!decide} would have
+    selected, and to give one binding the same id on every call
+    against the monitor.  [access_id] is the access's id in
+    {!Monitor.ids}[ monitor], which the companions must share.
+    Observationally identical to {!decide_naive} on the same inputs —
+    verdicts, denial strings, stage spans, monitor clock and activation
+    movement — but evaluates history-scope spatial constraints
+    incrementally: each binding owns a {!Srac.Lazy_dfa} machine in the
+    monitor's {!Residual} store, a cursor folds newly performed
+    accesses into the residual state, and the grant / activation
+    answers are memoized per-state nullability / feasibility bits.  A
+    [Team]-scope binding folds the merge of the members' non-inert
+    sub-histories, and only when one of them grew or the team changed.
+    A spatial denial's detail comes from the oracle's trace check over
+    the binding's non-inert history.  RBAC verdicts and role checks
+    are cached per access / binding id, stamped by
+    {!Rbac.Session.version}.  With [obs] the three stage spans are
+    emitted exactly as the naive path does; without it the decision
+    short-circuits at the first failure and the warm path performs
+    zero allocation (benchmarked in E22, differentially fuzzed in
+    [test/test_fuzz.ml]).
+    @raise Invalid_argument if a companion has another interner. *)
 
 val refresh_activation :
   ?companions:Monitor.t list ->
@@ -140,7 +148,9 @@ val refresh_activation_lazy :
   unit
 (** {!refresh_activation} through the lazy machinery: same activation
     flips, computed from residual feasibility instead of a fresh DFA
-    per history-scope binding. *)
+    per history-scope binding.  A binding's position in [bindings] is
+    its id, as in {!Binding_index}: pass the whole store in insertion
+    order. *)
 
 val is_granted : verdict -> bool
 val pp_reason : Format.formatter -> reason -> unit

@@ -2,6 +2,7 @@ module Q = Temporal.Q
 
 type t = {
   object_id : string;
+  ids : Sral.Access.Ids.t;
   proofs : Srac.Proof.store;
   mutable visits : (string * Q.t) list;  (* reverse order *)
   mutable first_arrival : Q.t;  (* meaningful once [visits <> []] *)
@@ -13,9 +14,10 @@ type t = {
   mutable history_epoch : int;  (* proofs issued so far *)
 }
 
-let create ~object_id =
+let create ?(ids = Sral.Access.Ids.create ()) ~object_id () =
   {
     object_id;
+    ids;
     proofs = Srac.Proof.create ();
     visits = [];
     first_arrival = Q.zero;
@@ -27,6 +29,7 @@ let create ~object_id =
   }
 
 let object_id m = m.object_id
+let ids m = m.ids
 let proofs m = m.proofs
 let history_epoch m = m.history_epoch
 
@@ -54,10 +57,11 @@ let base_time m (scheme : Temporal.Validity.scheme) =
 let itinerary m = List.rev m.visits
 let current_server m = match m.visits with [] -> None | (s, _) :: _ -> Some s
 
-let record_access m a ~time =
+let record_access ?id m a ~time =
   advance m time;
+  let id = match id with Some id -> id | None -> Sral.Access.Ids.intern m.ids a in
   m.history_epoch <- m.history_epoch + 1;
-  Srac.Proof.record m.proofs a ~time
+  Srac.Proof.record ~id m.proofs a ~time
 
 let performed m = Srac.Proof.performed_trace m.proofs
 

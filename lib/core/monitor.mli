@@ -13,8 +13,17 @@
 
 type t
 
-val create : object_id:string -> t
+val create : ?ids:Sral.Access.Ids.t -> object_id:string -> unit -> t
+(** [ids] is the access interner the monitor numbers its proofs with
+    (default: a fresh one of its own).  Monitors whose histories are
+    read together — an object and its companions — must share one; a
+    {!System} passes its own to every monitor it creates. *)
+
 val object_id : t -> string
+
+val ids : t -> Sral.Access.Ids.t
+(** The monitor's access interner. *)
+
 val proofs : t -> Srac.Proof.store
 
 val record_arrival : t -> server:string -> time:Temporal.Q.t -> unit
@@ -34,8 +43,11 @@ val itinerary : t -> (string * Temporal.Q.t) list
 
 val current_server : t -> string option
 
-val record_access : t -> Sral.Access.t -> time:Temporal.Q.t -> unit
-(** Issues an execution proof. *)
+val record_access :
+  ?id:int -> t -> Sral.Access.t -> time:Temporal.Q.t -> unit
+(** Issues an execution proof, stamped with the access's id in
+    {!ids} ([id], when the caller has already interned it there, saves
+    the lookup). *)
 
 val performed : t -> Sral.Trace.t
 (** The trace performed so far, in time order. *)

@@ -11,22 +11,14 @@
    bindings and accesses a monitor sees are bounded by the policy, not
    by traffic.
 
-   Slots are keyed by the binding value *physically*: bindings are
-   immutable and the binding index hands out the same objects on every
-   lookup, and two structurally-equal bindings are semantically
-   interchangeable, so distinct slots for them are merely harmless
-   duplicates.  (Keying by [Perm_binding.key] would be wrong: two
-   bindings may share a permission but carry different spatial
-   constraints.) *)
-
-module Binding_tbl = Hashtbl.Make (struct
-  type t = Perm_binding.t
-
-  let equal = ( == )
-  let hash = Hashtbl.hash
-end)
-
-module Access_tbl = Sral.Access.Tbl
+   All three tables are arrays indexed by dense ids, so the warm path
+   hashes nothing: slots and subs by the binding's position in the
+   system's {!Binding_index}, RBAC verdicts by the access's
+   {!Sral.Access.Ids} id in the system's interner.  A slot or sub
+   remembers the binding it was built for and is rebuilt if a caller
+   ever presents a different binding (by identity) under its id, so a
+   caller numbering bindings inconsistently gets slow answers, never
+   wrong ones. *)
 
 type cell = (Temporal.Q.t * bool) list ref
 (* a monitor activation-change list (newest first), shared with
@@ -37,6 +29,7 @@ type cell = (Temporal.Q.t * bool) list ref
    member's proof entries the binding's constraint can see (the
    non-inert ones, {!Srac.Lazy_dfa.inert}), in issue order. *)
 type sub = {
+  owner : Perm_binding.t option;  (* the binding whose constraint filtered it *)
   mutable entries : Srac.Proof.entry array;
   mutable len : int;
   mutable scanned : int;  (* member proof entries examined so far *)
@@ -44,12 +37,16 @@ type sub = {
 }
 
 let no_entry =
-  { Srac.Proof.access = Sral.Access.read "" ~at:""; time = Temporal.Q.zero }
+  {
+    Srac.Proof.access = Sral.Access.read "" ~at:"";
+    id = -1;
+    time = Temporal.Q.zero;
+  }
 
-let new_sub () = { entries = [||]; len = 0; scanned = 0; pos = 0 }
+let new_sub b = { owner = Some b; entries = [||]; len = 0; scanned = 0; pos = 0 }
 
 (* the merge's "nothing left" candidate; never written *)
-let exhausted = new_sub ()
+let exhausted = { owner = None; entries = [||]; len = 0; scanned = 0; pos = 0 }
 
 let push sub e =
   if sub.len = Array.length sub.entries then begin
@@ -61,6 +58,7 @@ let push sub e =
   sub.len <- sub.len + 1
 
 type slot = {
+  binding : Perm_binding.t;  (* the binding the slot was built for *)
   mutable machine : Srac.Lazy_dfa.t option;
       (* present iff the binding has a Performed/Both spatial scope *)
   cell : cell;
@@ -88,12 +86,23 @@ type rbac_entry = {
 }
 
 type store = {
-  slots : slot Binding_tbl.t;
-  rbac : rbac_entry Access_tbl.t;
-  mutable subs : sub Binding_tbl.t option;
-      (* per Team-scope binding; created on first use, since most
-         monitors never serve as a team member *)
+  mutable slots : slot option array;  (* by binding id *)
+  mutable rbac : rbac_entry option array;  (* by access id *)
+  mutable subs : sub option array;
+      (* per Team-scope binding id; empty until the monitor first
+         serves as a team member *)
 }
 
-let create () =
-  { slots = Binding_tbl.create 8; rbac = Access_tbl.create 8; subs = None }
+let create () = { slots = [||]; rbac = [||]; subs = [||] }
+
+(* An id-indexed table's entry; [None] past its end. *)
+let find a id = if id < Array.length a then a.(id) else None
+
+(* Grow an id-indexed table so that [id] is in range. *)
+let ensure a id =
+  if id < Array.length a then a
+  else begin
+    let bigger = Array.make (max (2 * Array.length a) (max 8 (id + 1))) None in
+    Array.blit a 0 bigger 0 (Array.length a);
+    bigger
+  end

@@ -14,6 +14,14 @@
    symbol lookup uses a no-option hashtable probe, and verdict
    (nullability) and feasibility are cached per state.
 
+   Accesses that arrive with a dense {!Sral.Access.Ids} id (proof
+   entries recorded through a system, the access a decision asks
+   about) are classified once per machine and id: [by_id] maps the id
+   to its local symbol, to "inert", or to "look it up" (a selector
+   matches it but no performed step has interned it yet), so the
+   decision path's steps and inertness tests are array reads, not
+   hashes.
+
    Equivalence with the eager oracle (`Compile.dfa` / `Trace_sat.sat` /
    `Program_sat.prefix_feasible`) is property-tested in test_srac and
    differentially fuzzed through the full decision procedure in
@@ -44,7 +52,12 @@ type t = {
   mutable gen : int array;  (* search-visited generation marks *)
   mutable cur_gen : int;
   mutable materialized : int;  (* transitions materialized so far *)
+  mutable by_id : Bytes.t;  (* access id -> class (see [remember]) *)
 }
+
+(* [code]'s answers below 0 *)
+let inert_code = -2
+let lookup = -3  (* not inert; find the symbol by hash (or intern it) *)
 
 (* Residual state spaces are finite for constraints whose simplified
    derivatives close up (the n-ary {!Simplify} canonicalization
@@ -130,6 +143,7 @@ let create c =
       gen = Array.make 8 0;
       cur_gen = 0;
       materialized = 0;
+      by_id = Bytes.empty;
     }
   in
   (* intern the *raw* formula's accesses: the eager feasibility oracle
@@ -177,19 +191,68 @@ let rec selected sels a i =
 (* Every access of the source is interned at creation, so an access
    missing from the arena is inert unless a selector counts it.
    Derivatives never introduce accesses or selectors, so inertness
-   holds for every residual, not just the source. *)
-let inert m a = find_sym m a < 0 && not (selected m.sels a 0)
+   holds for every residual, not just the source, and an id's
+   classification stays true for the machine's lifetime.
 
-let step_access m q a =
-  match Access_tbl.find m.sym_ids a with
-  | s -> step m q s
-  | exception Not_found ->
-      if selected m.sels a 0 then step m q (intern_sym m a) else q
+   [by_id] keeps one byte per access id, an eighth of an int array:
+   0 = not yet classified, 1 = inert, 2 = [lookup] (selected but not
+   yet interned when classified, or a symbol too large for a byte),
+   [3 + s] = symbol [s]. *)
+let remember m id code =
+  if id >= 0 then begin
+    let len = Bytes.length m.by_id in
+    if id >= len then begin
+      let bigger = Bytes.make (max (2 * len) (max 16 (id + 1))) '\000' in
+      Bytes.blit m.by_id 0 bigger 0 len;
+      m.by_id <- bigger
+    end;
+    Bytes.unsafe_set m.by_id id
+      (Char.unsafe_chr
+         (if code = inert_code then 1 else if code >= 0 && code < 253 then code + 3
+          else 2))
+  end
 
-let nullable_after m q a =
+(* Classifies without interning: only a performed step may widen the
+   alphabet. *)
+let classify m id a =
   let s = find_sym m a in
-  if s >= 0 then m.null.(step m q s)
-  else if not (selected m.sels a 0) then m.null.(q)
+  let code =
+    if s >= 0 then s else if selected m.sels a 0 then lookup else inert_code
+  in
+  remember m id code;
+  code
+
+let code m id a =
+  if id >= 0 && id < Bytes.length m.by_id then
+    match Char.code (Bytes.unsafe_get m.by_id id) with
+    | 0 -> classify m id a
+    | 1 -> inert_code
+    | 2 -> lookup
+    | c -> c - 3
+  else classify m id a
+
+let inert_id m ~id a = code m id a = inert_code
+let inert m a = inert_id m ~id:(-1) a
+
+let step_id m q ~id a =
+  let c = code m id a in
+  if c >= 0 then step m q c
+  else if c = inert_code then q
+  else begin
+    let s = intern_sym m a in
+    remember m id s;
+    step m q s
+  end
+
+let step_access m q a = step_id m q ~id:(-1) a
+let step_entry m q (e : Proof.entry) = step_id m q ~id:e.id e.access
+let inert_entry m (e : Proof.entry) = inert_id m ~id:e.id e.access
+
+let nullable_after m q ~id a =
+  let c = code m id a in
+  let c = if c = lookup then find_sym m a else c in
+  if c >= 0 then m.null.(step m q c)
+  else if c = inert_code then m.null.(q)
   else
     (* a selected access outside the arena (a denied or
        not-yet-performed query) must not pollute the alphabet: derive

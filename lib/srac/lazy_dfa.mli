@@ -37,20 +37,39 @@ val step_access : t -> int -> Sral.Access.t -> int
     reads; cold ones derive + simplify once and are memoized.  An
     {!inert} access returns the state unchanged and is not interned. *)
 
+val step_id : t -> int -> id:int -> Sral.Access.t -> int
+(** {!step_access} for an access carrying its {!Sral.Access.Ids} id:
+    once the machine has classified the id, the step is array reads
+    with no hashing.  All ids a machine sees must come from one
+    interner; a negative id means "none" and hashes the access. *)
+
+val step_entry : t -> int -> Proof.entry -> int
+(** [step_id] of the entry's access and id. *)
+
 val inert : t -> Sral.Access.t -> bool
 (** The access is outside [Formula.accesses] of the constraint and no
     cardinality selector of it matches: a self-loop on every residual,
     so neither nullability nor feasibility can depend on it.
     Allocation-free. *)
 
+val inert_id : t -> id:int -> Sral.Access.t -> bool
+(** {!inert}, answered by array read once the id is classified.
+    Classifying never interns: a selector-matched access that is only
+    tested here stays out of the alphabet until a {!step_id} performs
+    it. *)
+
+val inert_entry : t -> Proof.entry -> bool
+(** [inert_id] of the entry's access and id. *)
+
 val nullable : t -> int -> bool
 (** Is the state's residual satisfied by the empty extension?  O(1). *)
 
-val nullable_after : t -> int -> Sral.Access.t -> bool
-(** [nullable] of the state reached by the access — without interning
-    it: a hypothetical (possibly denied) access must not enter the
-    alphabet and skew later feasibility answers.  Allocation-free when
-    the access is already interned. *)
+val nullable_after : t -> int -> id:int -> Sral.Access.t -> bool
+(** [nullable] of the state reached by the access (with its id, or
+    [-1]) — without interning it: a hypothetical (possibly denied)
+    access must not enter the alphabet and skew later feasibility
+    answers.  Allocation-free when the access is already interned or
+    inert. *)
 
 val feasible : t -> int -> bool
 (** Can the state's residual still be satisfied by some extension over

@@ -1,14 +1,14 @@
-type entry = { access : Sral.Access.t; time : Temporal.Q.t }
+type entry = { access : Sral.Access.t; id : int; time : Temporal.Q.t }
 
 type store = Store of entry list ref | Always
 (* entries kept in reverse issue order *)
 
 let create () = Store (ref [])
 
-let record store access ~time =
+let record ?(id = -1) store access ~time =
   match store with
   | Always -> invalid_arg "Proof.record: the Always store is read-only"
-  | Store entries -> entries := { access; time } :: !entries
+  | Store entries -> entries := { access; id; time } :: !entries
 
 let entry_list = function Always -> [] | Store entries -> List.rev !entries
 

@@ -5,14 +5,19 @@
     (Section 2).  [Pr_x(a)] is true iff such a proof exists.  The store
     belongs to one mobile object (the [o] component is fixed). *)
 
-type entry = { access : Sral.Access.t; time : Temporal.Q.t }
+type entry = { access : Sral.Access.t; id : int; time : Temporal.Q.t }
+(** [id] is the access's {!Sral.Access.Ids} id in the interner of
+    whoever recorded the proof, or [-1] if it was recorded without
+    one.  Readers that key state on ids fall back to the access itself
+    for a negative id. *)
 
 type store
 
 val create : unit -> store
 
-val record : store -> Sral.Access.t -> time:Temporal.Q.t -> unit
-(** Issue a proof for an executed access. *)
+val record : ?id:int -> store -> Sral.Access.t -> time:Temporal.Q.t -> unit
+(** Issue a proof for an executed access, carrying its interned [id]
+    (default [-1]: none). *)
 
 val holds : store -> Sral.Access.t -> bool
 (** [Pr_x(a)]. *)

@@ -54,6 +54,23 @@ module Tbl = Hashtbl.Make (struct
   let hash = hash
 end)
 
+module Ids = struct
+  type access = t
+  type t = int Tbl.t  (* ids run 0, 1, 2, ... in order of first sight *)
+
+  let create () = Tbl.create 64
+
+  let intern t a =
+    match Tbl.find t a with
+    | id -> id
+    | exception Not_found ->
+        let id = Tbl.length t in
+        Tbl.add t a id;
+        id
+
+  let count = Tbl.length
+end
+
 let pp_operation ppf op = Format.pp_print_string ppf (operation_name op)
 
 let pp ppf a =

@@ -40,6 +40,25 @@ module Tbl : Hashtbl.S with type key = t
 (** Access-keyed tables over {!equal}/{!hash}: a hit probes without
     allocating. *)
 
+(** Dense access ids: an interner numbers accesses [0, 1, 2, ...] in
+    order of first sight, so per-access state can live in arrays
+    indexed by the id instead of tables hashed over the record.  An id
+    means something only to the interner that issued it; there is no
+    global interner. *)
+module Ids : sig
+  type access = t
+  type t
+
+  val create : unit -> t
+
+  val intern : t -> access -> int
+  (** The access's id, issuing the next one on first sight.  A repeat
+      lookup is one hashtable probe and allocates nothing. *)
+
+  val count : t -> int
+  (** Ids issued so far; every id is below it. *)
+end
+
 val operation_name : operation -> string
 (** Lower-case operation name as used by the concrete syntax. *)
 

@@ -47,7 +47,7 @@ let test_binding_negative_dur () =
 (* --- monitor --- *)
 
 let test_monitor_arrivals_and_proofs () =
-  let m = Monitor.create ~object_id:"o" in
+  let m = Monitor.create ~object_id:"o" () in
   Alcotest.(check (option string)) "nowhere yet" None (Monitor.current_server m);
   Monitor.record_arrival m ~server:"s1" ~time:Q.zero;
   Monitor.record_arrival m ~server:"s2" ~time:(q 5);
@@ -60,14 +60,14 @@ let test_monitor_arrivals_and_proofs () =
   Alcotest.(check int) "performed" 1 (Sral.Trace.length (Monitor.performed m))
 
 let test_monitor_clock_monotone () =
-  let m = Monitor.create ~object_id:"o" in
+  let m = Monitor.create ~object_id:"o" () in
   Monitor.record_arrival m ~server:"s1" ~time:(q 5);
   Alcotest.check_raises "backwards time"
     (Invalid_argument "Monitor: time went backwards (3 < 5)") (fun () ->
       Monitor.record_access m a_db ~time:(q 3))
 
 let test_monitor_activation_fn () =
-  let m = Monitor.create ~object_id:"o" in
+  let m = Monitor.create ~object_id:"o" () in
   Monitor.set_active m ~key:"k" ~time:(q 1) true;
   Monitor.set_active m ~key:"k" ~time:(q 3) true (* no-op *);
   Monitor.set_active m ~key:"k" ~time:(q 5) false;
@@ -459,6 +459,107 @@ let lazy_vs_naive run =
   Alcotest.(check (list string))
     "lazy = naive" (render (run System.Naive)) (render (run System.Lazy))
 
+(* --- dense ids: invalidation of the id-keyed caches --- *)
+
+(* The lazy path caches each object's companion list against a roster
+   version; a join must invalidate it before the very next check, in
+   both directions (a teammate arriving and one leaving). *)
+let test_join_then_team_check () =
+  let binding =
+    Perm_binding.make ~spatial:(Srac.Formula.Atom a_cfg)
+      ~spatial_scope:Perm_binding.Performed ~proof_scope:Perm_binding.Team
+      perm_db
+  in
+  lazy_vs_naive (fun mode ->
+      let control = System.create ~mode ~bindings:[ binding ] (base_policy ()) in
+      let program = prog "read cfg @ s1; read db @ s1" in
+      let sessions =
+        List.map
+          (fun o ->
+            System.arrive control ~object_id:o ~server:"s1" ~time:Q.zero;
+            (o, session_of control))
+          [ "a"; "b"; "c" ]
+      in
+      let check o t access =
+        System.check control ~session:(List.assoc o sessions) ~object_id:o
+          ~program ~time:(q t) access
+      in
+      System.join_team control ~object_id:"a" ~team:"t1";
+      System.join_team control ~object_id:"c" ~team:"t1";
+      System.join_team control ~object_id:"b" ~team:"t2";
+      let v_cfg = check "b" 1 a_cfg in
+      let v_alone = check "a" 2 a_db in
+      System.join_team control ~object_id:"b" ~team:"t1";
+      let v_joined = check "a" 3 a_db in
+      System.join_team control ~object_id:"b" ~team:"t3";
+      let v_left = check "a" 4 a_db in
+      let verdicts = [ v_cfg; v_alone; v_joined; v_left ] in
+      Alcotest.(check (list bool))
+        "b's cfg read counts exactly while b is a's teammate"
+        [ true; false; true; false ]
+        (List.map Decision.is_granted verdicts);
+      verdicts)
+
+(* Every system numbers accesses with an interner of its own: clones
+   fed different access sets, interleaved, each count only their own
+   accesses and still decide as the oracle does. *)
+let test_clones_keep_own_interners () =
+  let binding =
+    Perm_binding.make
+      ~spatial:(Srac.Formula.at_most 1 (Srac.Selector.Resource "db"))
+      ~spatial_scope:Perm_binding.Performed perm_db
+  in
+  let base = System.create ~bindings:[ binding ] (base_policy ()) in
+  let c1 = System.clone base and c2 = System.clone base in
+  let feeds =
+    [
+      (c1, [ a_db; a_cfg; a_db; read_ "log" "s2" ]);
+      (c2, [ read_ "map" "s3"; a_db; a_db ]);
+    ]
+  in
+  let sessions =
+    List.map
+      (fun (c, _) ->
+        System.arrive c ~object_id:"o" ~server:"s1" ~time:Q.zero;
+        session_of c)
+      feeds
+  in
+  let run c session accesses =
+    List.mapi
+      (fun i a ->
+        System.check c ~session ~object_id:"o" ~program:(prog "read db @ s1")
+          ~time:(q (i + 1)) a)
+      accesses
+  in
+  (* interleave: c1's check i, then c2's check i *)
+  let verdicts = Array.make 2 [] in
+  for i = 0 to 3 do
+    List.iteri
+      (fun k ((c, accesses), session) ->
+        match List.nth_opt accesses i with
+        | Some a ->
+            verdicts.(k) <-
+              System.check c ~session ~object_id:"o"
+                ~program:(prog "read db @ s1") ~time:(q (i + 1)) a
+              :: verdicts.(k)
+        | None -> ())
+      (List.combine feeds sessions)
+  done;
+  let ids c = Coordinated.Monitor.ids (System.monitor c ~object_id:"o") in
+  Alcotest.(check bool) "distinct interners" true (ids c1 != ids c2);
+  Alcotest.(check (list int)) "each counts its own accesses" [ 3; 2 ]
+    [ Sral.Access.Ids.count (ids c1); Sral.Access.Ids.count (ids c2) ];
+  List.iteri
+    (fun k (_, accesses) ->
+      let oracle, session = setup ~mode:System.Naive ~bindings:[ binding ] () in
+      Alcotest.(check (list string))
+        (Printf.sprintf "clone %d = naive" (k + 1))
+        (List.map (Format.asprintf "%a" Decision.pp_verdict)
+           (run oracle session accesses))
+        (List.map (Format.asprintf "%a" Decision.pp_verdict)
+           (List.rev verdicts.(k))))
+    feeds
+
 let test_cache_invalidated_by_arrival () =
   (* a Granted must flip once record_arrival moves the object off the
      server whose per-server budget the grant was living on *)
@@ -677,13 +778,20 @@ let index_agrees_with_linear_scan =
             Sral.Generate.access ~resources:[ "db"; "cfg"; "log" ]
               ~servers:[ "s1"; "s2"; "s3" ] rng)
       in
+      let ids = Sral.Access.Ids.create () in
       List.for_all
         (fun a ->
-          let via_index = Binding_index.applicable index a in
+          let id = Sral.Access.Ids.intern ids a in
+          let via_index = Binding_index.applicable index ~id a in
           let via_scan =
             List.filter (fun b -> Perm_binding.applies_to b a) bindings
           in
-          via_index = via_scan)
+          List.map snd via_index = via_scan
+          (* ids are insertion positions *)
+          && List.for_all (fun (i, b) -> List.nth bindings i == b) via_index
+          (* the memoized and unmemoized answers agree *)
+          && Binding_index.applicable index ~id a == via_index
+          && Binding_index.applicable index ~id:(-1) a = via_index)
         accesses)
 
 let test_index_append_and_order () =
@@ -692,13 +800,16 @@ let test_index_append_and_order () =
   let b3 = Perm_binding.make (Rbac.Perm.make ~operation:"*" ~target:"db@s1") in
   let index = Binding_index.of_list [ b1; b2 ] in
   Alcotest.(check int) "version counts" 2 (Binding_index.version index);
+  Alcotest.(check bool) "memo before the append" true
+    (Binding_index.applicable index ~id:0 a_db = [ (0, b1); (1, b2) ]);
   Binding_index.add index b3;
   Alcotest.(check int) "version bumps" 3 (Binding_index.version index);
   Alcotest.(check bool) "insertion order preserved" true
     (Binding_index.to_list index == [ b1; b2; b3 ]
     || Binding_index.to_list index = [ b1; b2; b3 ]);
   Alcotest.(check bool) "applicable in insertion order" true
-    (Binding_index.applicable index a_db = [ b1; b2; b3 ])
+    (Binding_index.applicable index ~id:0 a_db
+    = [ (0, b1); (1, b2); (2, b3) ])
 
 (* --- audit log --- *)
 
@@ -1237,6 +1348,13 @@ let () =
           Alcotest.test_case "own scope" `Quick test_own_scope_ignores_teammates;
           Alcotest.test_case "merge corners, lazy = naive" `Quick
             test_team_merge_corners;
+        ] );
+      ( "dense-ids",
+        [
+          Alcotest.test_case "join, then a team check" `Quick
+            test_join_then_team_check;
+          Alcotest.test_case "clones keep their own interners" `Quick
+            test_clones_keep_own_interners;
         ] );
       ( "verdict-cache",
         [

@@ -332,6 +332,58 @@ let test_differential_lazy_vs_naive () =
         Alcotest.failf "seed %d: lazy path diverges from the naive oracle" seed
       end)
 
+(* Binding ids grow mid-run: half of each coalition's bindings arrive
+   as [Add_binding] events halfway through its events, after decisions
+   have filled the lazy path's id-keyed tables (applicable memos,
+   residual slots, team subs).  Verdicts, denial strings, the log and
+   the spans must still match the oracle's. *)
+let test_differential_late_bindings () =
+  let module S = Parallel.Scenario in
+  let exercised = ref 0 in
+  Gen.each_seed ~salt:4245 ~count:200 (fun ~seed rng ->
+      let sc = Gen.coalition rng in
+      let rec split k = function
+        | x :: rest when k > 0 ->
+            let a, b = split (k - 1) rest in
+            (x :: a, b)
+        | rest -> ([], rest)
+      in
+      let early, late =
+        split ((List.length sc.S.bindings + 1) / 2) sc.S.bindings
+      in
+      let before, after =
+        split (List.length sc.S.events / 2) sc.S.events
+      in
+      let sc =
+        {
+          sc with
+          S.bindings = early;
+          events =
+            before @ List.map (fun b -> S.Add_binding b) late @ after;
+        }
+      in
+      if
+        List.exists
+          (function
+            | S.Check (_, a) ->
+                List.exists (fun b -> Coordinated.Perm_binding.applies_to b a) late
+            | _ -> false)
+          after
+      then incr exercised;
+      let o_lazy = S.run ~mode:Coordinated.System.Lazy sc in
+      let o_naive = S.run ~mode:Coordinated.System.Naive sc in
+      if
+        o_lazy.S.verdicts <> o_naive.S.verdicts
+        || (not (String.equal o_lazy.S.log o_naive.S.log))
+        || not
+             (String.equal (render_trace o_lazy.S.trace)
+                (render_trace o_naive.S.trace))
+      then
+        Alcotest.failf "seed %d: late bindings: lazy diverges from naive@.%a"
+          seed pp_coalition sc);
+  Alcotest.(check bool) "late bindings decide later checks" true
+    (!exercised > 100)
+
 (* Duplicated checks make the second decision of each pair hit the
    warm, fully-memoized lazy path — residual states, RBAC stamps,
    cursors all populated — and it must still be span-identical. *)
@@ -389,8 +441,8 @@ let test_differential_lazy_direct () =
           ~size:(4 + Random.State.int rng 8)
           rng
       in
-      let m_lazy = M.create ~object_id:"obj" in
-      let m_naive = M.create ~object_id:"obj" in
+      let m_lazy = M.create ~object_id:"obj" () in
+      let m_naive = M.create ~object_id:"obj" () in
       let random_access () =
         let r = Gen.pick rng resources and s = Gen.pick rng servers in
         if Random.State.bool rng then Sral.Access.read r ~at:s
@@ -417,9 +469,10 @@ let test_differential_lazy_direct () =
                 ~time:!time access
             in
             let v_lazy =
+              let id = Sral.Access.Ids.intern (M.ids m_lazy) access in
               D.decide_lazy ~session ~monitor:m_lazy
-                ~applicable:(Coordinated.Binding_index.applicable index access)
-                ~program ~time:!time access
+                ~applicable:(Coordinated.Binding_index.applicable index ~id access)
+                ~program ~time:!time ~access_id:id access
             in
             if v_naive <> v_lazy then
               Alcotest.failf
@@ -575,6 +628,8 @@ let () =
             test_differential_lazy_repeated_checks;
           Alcotest.test_case "uninstrumented lazy = naive, direct" `Quick
             test_differential_lazy_direct;
+          Alcotest.test_case "bindings added mid-run, lazy = naive" `Quick
+            test_differential_late_bindings;
         ] );
       ( "workflows",
         [

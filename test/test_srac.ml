@@ -457,7 +457,7 @@ let test_lazy_cold_warm_identical () =
       Alcotest.(check bool)
         (Printf.sprintf "seed %d: hypothetical access = Definition 3.6" seed)
         (sat (t @ [ foreign ]) c)
-        (Lazy_dfa.nullable_after m q foreign);
+        (Lazy_dfa.nullable_after m q ~id:(-1) foreign);
       Alcotest.(check bool)
         (Printf.sprintf "seed %d: hypothetical access leaves arena alone" seed)
         true
@@ -527,6 +527,50 @@ let test_lazy_inert_accesses () =
             inert)
         (trace_gen rng 7));
   Alcotest.(check bool) "inert accesses exercised" true (!exercised > 100)
+
+(* A spatial denial's detail is built from the binding's non-inert
+   history only, so dropping the inert accesses of a trace must change
+   neither [sat] nor [explain]'s string.  The same traces also walk a
+   machine through the id-keyed entry points ([step_id], [inert_id]),
+   which must agree with the hashing ones step for step. *)
+let test_explain_ignores_inert () =
+  let pool =
+    [
+      a1; a2; a3; read_ "a" "s2"; write_ "a" "s1"; read_ "b" "s2";
+      write_ "c" "s1"; read_ "zz" "s9"; Sral.Access.execute "a" ~at:"s1";
+    ]
+  in
+  let explain t c = Trace_sat.explain ~proofs:Proof.always t c in
+  let dropped = ref 0 and denied = ref 0 in
+  Gen.each_seed ~salt:5153 ~count:600 (fun ~seed rng ->
+      let c = formula_gen rng in
+      let t = List.init (Random.State.int rng 10) (fun _ -> Gen.pick rng pool) in
+      let by_hash = Lazy_dfa.create c and by_id = Lazy_dfa.create c in
+      let ids = Sral.Access.Ids.create () in
+      let visible = List.filter (fun a -> not (Lazy_dfa.inert by_hash a)) t in
+      if List.compare_lengths visible t < 0 then incr dropped;
+      if not (sat t c) then incr denied;
+      if sat t c <> sat visible c || explain t c <> explain visible c then
+        Alcotest.failf "seed %d: %a over %a: inert accesses changed the answer"
+          seed Formula.pp c Sral.Trace.pp t;
+      let q_hash = ref (Lazy_dfa.start by_hash)
+      and q_id = ref (Lazy_dfa.start by_id) in
+      List.iter
+        (fun a ->
+          let id = Sral.Access.Ids.intern ids a in
+          if Lazy_dfa.inert_id by_id ~id a <> Lazy_dfa.inert by_hash a then
+            Alcotest.failf "seed %d: inert_id disagrees on %a" seed
+              Sral.Access.pp a;
+          q_hash := Lazy_dfa.step_access by_hash !q_hash a;
+          q_id := Lazy_dfa.step_id by_id !q_id ~id a;
+          if
+            !q_hash <> !q_id
+            || Lazy_dfa.num_symbols by_hash <> Lazy_dfa.num_symbols by_id
+          then Alcotest.failf "seed %d: step_id diverges on %a" seed
+              Sral.Access.pp a)
+        t);
+  Alcotest.(check bool) "inert accesses dropped" true (!dropped > 200);
+  Alcotest.(check bool) "denials explained" true (!denied > 100)
 
 let lazy_machine_deterministic =
   QCheck.Test.make
@@ -723,6 +767,8 @@ let () =
             test_lazy_cold_warm_identical;
           Alcotest.test_case "inert accesses are self-loops" `Quick
             test_lazy_inert_accesses;
+          Alcotest.test_case "explain ignores inert accesses" `Quick
+            test_explain_ignores_inert;
           QCheck_alcotest.to_alcotest lazy_machine_deterministic;
         ] );
       ( "proofs",
