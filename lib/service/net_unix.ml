@@ -4,7 +4,15 @@ let sockaddr_of = function
   | Unix_path p -> Unix.ADDR_UNIX p
   | Tcp port -> Unix.ADDR_INET (Unix.inet_addr_loopback, port)
 
-type peer = { fd : Unix.file_descr; conn : int }
+(* [out] from [out_off] on is reply bytes the socket has not taken
+   yet; while any remain the peer is polled for writability only, never
+   read, so its unsent output is bounded by the replies to one read *)
+type peer = {
+  fd : Unix.file_descr;
+  conn : int;
+  mutable out : string;
+  mutable out_off : int;
+}
 
 (* one read buffer per listener and per client, never shared between
    them, so listeners on different domains cannot race on it *)
@@ -30,13 +38,27 @@ let listen addr =
   Unix.listen fd 64;
   { addr; listener = fd; peers = []; buf = read_buffer () }
 
-let write_all fd s =
-  let b = Bytes.of_string s in
-  let n = Bytes.length b in
-  let off = ref 0 in
-  while !off < n do
-    off := !off + Unix.write fd b !off (n - !off)
-  done
+let pending p = String.length p.out - p.out_off
+
+let pending_output t = List.fold_left (fun acc p -> acc + pending p) 0 t.peers
+
+(* Write what the nonblocking socket takes now and keep the rest.
+   [false] once the peer is gone (broken pipe or reset). *)
+let rec flush p =
+  let n = pending p in
+  if n = 0 then true
+  else
+    match Unix.write_substring p.fd p.out p.out_off n with
+    | k ->
+        if k = n then begin
+          p.out <- "";
+          p.out_off <- 0
+        end
+        else p.out_off <- p.out_off + k;
+        true
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> true
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> flush p
+    | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> false
 
 (* [None] once the peer is gone: EOF, or a reset treated as one *)
 let rec read_chunk buf fd =
@@ -49,19 +71,24 @@ let rec read_chunk buf fd =
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_chunk buf fd
 
 let step t ~server ~timeout =
-  let fds = t.listener :: List.map (fun p -> p.fd) t.peers in
-  let ready, _, _ = try Unix.select fds [] [] timeout with
+  let reads, writes =
+    List.fold_left
+      (fun (r, w) p -> if pending p > 0 then (r, p.fd :: w) else (p.fd :: r, w))
+      ([ t.listener ], []) t.peers
+  in
+  let readable, writable, _ = try Unix.select reads writes [] timeout with
     | Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
   in
   (* accept first so a connect+send in the same pump gets served *)
-  if List.mem t.listener ready then begin
+  if List.mem t.listener readable then begin
     (* newest first, reversed once so the peer list keeps accept order
        and is copied once per pump rather than once per accept *)
     let rec accept_all acc =
       match Unix.accept t.listener with
       | fd, _ ->
           Unix.set_nonblock fd;
-          accept_all ({ fd; conn = Server.open_conn server } :: acc)
+          accept_all
+            ({ fd; conn = Server.open_conn server; out = ""; out_off = 0 } :: acc)
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> acc
     in
     Unix.set_nonblock t.listener;
@@ -72,7 +99,11 @@ let step t ~server ~timeout =
   let batch =
     List.filter_map
       (fun p ->
-        if List.mem p.fd ready then
+        if List.mem p.fd writable then begin
+          if not (flush p) then lost := p :: !lost;
+          None
+        end
+        else if List.mem p.fd readable then
           match read_chunk t.buf p.fd with
           | None ->
               lost := p :: !lost;
@@ -83,19 +114,19 @@ let step t ~server ~timeout =
       t.peers
   in
   let replies = Server.feed_batch server (List.map (fun (p, b) -> (p.conn, b)) batch) in
-  (* one reply entry per batch peer, in batch order *)
+  (* one reply entry per batch peer, in batch order; a batch peer had
+     nothing pending, so its replies start a fresh output *)
   List.iter2
     (fun (p, _) (_, out) ->
-      if String.length out > 0 then
-        try write_all p.fd out
-        with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
-          lost := p :: !lost)
+      p.out <- out;
+      p.out_off <- 0;
+      if not (flush p) then lost := p :: !lost)
     batch replies;
-  (* disconnect lost peers and peers the server killed fail-closed *)
+  (* disconnect lost peers, and peers the server killed fail-closed once
+     their last replies are out *)
   let gone p =
     List.memq p !lost
-    || (not (Server.conn_alive server ~conn:p.conn))
-       && List.exists (fun (q, _) -> q == p) batch
+    || pending p = 0 && not (Server.conn_alive server ~conn:p.conn)
   in
   let dropped, kept = List.partition gone t.peers in
   List.iter
@@ -135,7 +166,16 @@ module Client = struct
     Unix.connect fd (sockaddr_of addr);
     { fd; decoder = Frame.Decoder.create (); buf = read_buffer () }
 
-  let send t req = write_all t.fd (Frame.encode (Protocol.encode_request req))
+  (* the client's socket blocks, so this returns once all is written *)
+  let send t req =
+    let s = Frame.encode (Protocol.encode_request req) in
+    let rec from off =
+      if off < String.length s then
+        match Unix.write_substring t.fd s off (String.length s - off) with
+        | k -> from (off + k)
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> from off
+    in
+    from 0
 
   let decode_available t =
     let rec go acc =

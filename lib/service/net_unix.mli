@@ -20,14 +20,26 @@ val listen : addr -> t
 
 val step : t -> server:Server.t -> timeout:float -> int
 (** One pump: wait up to [timeout] seconds for readiness, accept any
-    pending connections, read every ready peer, feed the server, write
-    replies.  Returns the number of peers that produced bytes.  Peers
-    whose connection died fail-closed (and EOF'd peers) are
-    disconnected after their replies are flushed; a peer that resets,
+    pending connections, flush writable peers' pending output, read
+    every ready peer, feed the server, write replies.  Returns the
+    number of peers that produced bytes.
+
+    Writes never block.  Reply bytes a peer's socket does not take at
+    once stay in that peer's pending output, flushed when [select]
+    reports the socket writable.  A peer with pending output is not
+    read, so a client that stops reading stalls only itself, and the
+    server holds at most the replies to one read of its requests.
+
+    Peers whose connection died fail-closed (and EOF'd peers) are
+    disconnected once their replies are flushed; a peer that resets,
     or whose reply write fails with [EPIPE] or [ECONNRESET], is
     disconnected without affecting the others.  A process serving
     sockets should ignore [SIGPIPE] so such a write fails instead of
     killing it. *)
+
+val pending_output : t -> int
+(** Reply bytes accepted from the server but not yet taken by the
+    peers' sockets, summed over peers. *)
 
 val serve : t -> server:Server.t -> ?max_requests:int -> unit -> unit
 (** Pump until [max_requests] requests have executed (forever when

@@ -1,6 +1,6 @@
 module Q = Temporal.Q
 
-let version = 1
+let version = 2
 
 type request =
   | Ping
@@ -47,6 +47,10 @@ let w_u32 buf v =
   w_u8 buf (v lsr 8);
   w_u8 buf v
 
+let w_i64 buf v = Buffer.add_int64_be buf v
+let w_int buf v = w_i64 buf (Int64.of_int v)
+let w_bool buf b = w_u8 buf (if b then 1 else 0)
+
 let w_str buf s =
   w_u32 buf (String.length s);
   Buffer.add_string buf s
@@ -55,7 +59,10 @@ let w_list buf w xs =
   w_u32 buf (List.length xs);
   List.iter (w buf) xs
 
-let w_q buf q = w_str buf (Q.to_string q)
+(* a normalized rational is its two integers, numerator first *)
+let w_q buf (q : Q.t) =
+  w_int buf q.num;
+  w_int buf q.den
 
 let w_access buf (a : Sral.Access.t) =
   w_str buf (Sral.Access.operation_name a.op);
@@ -83,6 +90,115 @@ let w_verdict buf (v : Obs.Verdict.t) =
   | Denied (Server_unavailable s) ->
       w_u8 buf 6;
       w_str buf s
+
+let w_stage buf (s : Obs.Trace.stage) =
+  w_u8 buf (match s with Rbac -> 0 | Spatial -> 1 | Temporal -> 2)
+
+let w_fault buf (f : Obs.Trace.fault) =
+  w_u8 buf
+    (match f with
+    | Server_unreachable -> 0
+    | Migration_failure -> 1
+    | Channel_drop -> 2
+    | Channel_delay -> 3
+    | Channel_duplicate -> 4
+    | Signal_loss -> 5
+    | Recv_timeout -> 6)
+
+(* One kind byte, the event time, then the constructor's fields in
+   declaration order.  Exhaustive on purpose: a new constructor does
+   not compile until it has a layout here; test_service's codec fuzz
+   then holds [r_event] to it. *)
+let w_event buf (ev : Obs.Trace.event) =
+  let head kind time =
+    w_u8 buf kind;
+    w_q buf time
+  in
+  match ev with
+  | Stage_start { time; object_id; stage } ->
+      head 0 time;
+      w_str buf object_id;
+      w_stage buf stage
+  | Stage_end { time; object_id; stage; ok; elapsed_ns } ->
+      head 1 time;
+      w_str buf object_id;
+      w_stage buf stage;
+      w_bool buf ok;
+      w_i64 buf elapsed_ns
+  | Cache_probe { time; object_id; hit } ->
+      head 2 time;
+      w_str buf object_id;
+      w_bool buf hit
+  | Decision { time; object_id; access; verdict } ->
+      head 3 time;
+      w_str buf object_id;
+      w_access buf access;
+      w_verdict buf verdict
+  | Arrival { time; object_id; server } ->
+      head 4 time;
+      w_str buf object_id;
+      w_str buf server
+  | Role_rejected { time; object_id; role; reason } ->
+      head 5 time;
+      w_str buf object_id;
+      w_str buf role;
+      w_str buf reason
+  | Spawned { time; agent; home } ->
+      head 6 time;
+      w_str buf agent;
+      w_str buf home
+  | Migrated { time; agent; from_; to_ } ->
+      head 7 time;
+      w_str buf agent;
+      w_str buf from_;
+      w_str buf to_
+  | Message_sent { time; agent; channel } ->
+      head 8 time;
+      w_str buf agent;
+      w_str buf channel
+  | Message_received { time; agent; channel } ->
+      head 9 time;
+      w_str buf agent;
+      w_str buf channel
+  | Signal_raised { time; agent; signal } ->
+      head 10 time;
+      w_str buf agent;
+      w_str buf signal
+  | Completed { time; agent } ->
+      head 11 time;
+      w_str buf agent
+  | Aborted { time; agent; reason } ->
+      head 12 time;
+      w_str buf agent;
+      w_str buf reason
+  | Deadlocked { time; agent } ->
+      head 13 time;
+      w_str buf agent
+  | Fault_injected { time; agent; fault; target } ->
+      head 14 time;
+      w_str buf agent;
+      w_fault buf fault;
+      w_str buf target
+  | Server_down { time; server } ->
+      head 15 time;
+      w_str buf server
+  | Server_up { time; server } ->
+      head 16 time;
+      w_str buf server
+  | Retry_scheduled { time; agent; attempt; at } ->
+      head 17 time;
+      w_str buf agent;
+      w_int buf attempt;
+      w_q buf at
+  | Gave_up { time; agent; attempts } ->
+      head 18 time;
+      w_str buf agent;
+      w_int buf attempts
+  | Policy_changed { time; op; version } ->
+      head 19 time;
+      w_str buf op;
+      w_int buf version
+  | Run_finished { time } -> head 20 time
 
 let encode_request req =
   let buf = Buffer.create 64 in
@@ -137,7 +253,7 @@ let encode_reply reply =
       w_u32 buf seq
   | Event ev ->
       w_u8 buf 4;
-      w_str buf (Obs.Export.to_line ev));
+      w_event buf ev);
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
@@ -145,138 +261,243 @@ let encode_reply reply =
 
 exception Fail of error
 
+let malformed fmt = Printf.ksprintf (fun msg -> raise (Fail (Malformed msg))) fmt
+
+type cursor = { s : string; mutable pos : int }
+
+(* claim the next [k] bytes, returning where they start *)
+let take c k =
+  if k > String.length c.s - c.pos then raise (Fail Truncated);
+  let at = c.pos in
+  c.pos <- at + k;
+  at
+
+let r_u8 c = Char.code c.s.[take c 1]
+let r_u32 c = Int32.to_int (String.get_int32_be c.s (take c 4)) land 0xffff_ffff
+let r_i64 c = String.get_int64_be c.s (take c 8)
+
+let r_int c =
+  let v = r_i64 c in
+  let i = Int64.to_int v in
+  if Int64.equal (Int64.of_int i) v then i
+  else malformed "integer %Ld out of native range" v
+
+let r_bool c =
+  match r_u8 c with
+  | 0 -> false
+  | 1 -> true
+  | b -> malformed "bad bool byte %d" b
+
+let r_str c =
+  let len = r_u32 c in
+  String.sub c.s (take c len) len
+
+let r_list c r =
+  let count = r_u32 c in
+  (* an honest list of k elements needs at least k payload bytes;
+     reject absurd counts before allocating *)
+  if count > String.length c.s - c.pos then raise (Fail Truncated)
+  else List.init count (fun _ -> r c)
+
+(* Only the normalized pair is accepted, so every rational keeps one
+   encoding: [den > 0], and [Q.make] must return the pair unchanged.
+   That also turns away a [min_int] numerator over an odd denominator,
+   which [Q.make] cannot normalize. *)
+let r_q c =
+  let num = r_int c in
+  let den = r_int c in
+  let q = if den > 0 then Q.make num den else Q.zero in
+  if den > 0 && q.num = num && q.den = den then q
+  else malformed "non-canonical rational %d/%d" num den
+
+let r_access c =
+  let op = Sral.Access.operation_of_name (r_str c) in
+  let resource = r_str c in
+  let server = r_str c in
+  Sral.Access.make ~op ~resource ~server
+
+let r_verdict c : Obs.Verdict.t =
+  match r_u8 c with
+  | 0 -> Granted
+  | 1 -> Denied (Rbac_denied (r_str c))
+  | 2 ->
+      let binding = r_str c in
+      let detail = r_str c in
+      Denied (Spatial_violation { binding; detail })
+  | 3 ->
+      let binding = r_str c in
+      let spent = r_q c in
+      Denied (Temporal_expired { binding; spent })
+  | 4 -> Denied (Not_active (r_str c))
+  | 5 -> Denied Not_arrived
+  | 6 -> Denied (Server_unavailable (r_str c))
+  | t -> malformed "unknown verdict tag %d" t
+
+let r_stage c : Obs.Trace.stage =
+  match r_u8 c with
+  | 0 -> Rbac
+  | 1 -> Spatial
+  | 2 -> Temporal
+  | b -> malformed "unknown stage code %d" b
+
+let r_fault c : Obs.Trace.fault =
+  match r_u8 c with
+  | 0 -> Server_unreachable
+  | 1 -> Migration_failure
+  | 2 -> Channel_drop
+  | 3 -> Channel_delay
+  | 4 -> Channel_duplicate
+  | 5 -> Signal_loss
+  | 6 -> Recv_timeout
+  | b -> malformed "unknown fault code %d" b
+
+let r_event c : Obs.Trace.event =
+  let kind = r_u8 c in
+  let time = r_q c in
+  match kind with
+  | 0 ->
+      let object_id = r_str c in
+      let stage = r_stage c in
+      Stage_start { time; object_id; stage }
+  | 1 ->
+      let object_id = r_str c in
+      let stage = r_stage c in
+      let ok = r_bool c in
+      let elapsed_ns = r_i64 c in
+      Stage_end { time; object_id; stage; ok; elapsed_ns }
+  | 2 ->
+      let object_id = r_str c in
+      let hit = r_bool c in
+      Cache_probe { time; object_id; hit }
+  | 3 ->
+      let object_id = r_str c in
+      let access = r_access c in
+      let verdict = r_verdict c in
+      Decision { time; object_id; access; verdict }
+  | 4 ->
+      let object_id = r_str c in
+      let server = r_str c in
+      Arrival { time; object_id; server }
+  | 5 ->
+      let object_id = r_str c in
+      let role = r_str c in
+      let reason = r_str c in
+      Role_rejected { time; object_id; role; reason }
+  | 6 ->
+      let agent = r_str c in
+      let home = r_str c in
+      Spawned { time; agent; home }
+  | 7 ->
+      let agent = r_str c in
+      let from_ = r_str c in
+      let to_ = r_str c in
+      Migrated { time; agent; from_; to_ }
+  | 8 ->
+      let agent = r_str c in
+      let channel = r_str c in
+      Message_sent { time; agent; channel }
+  | 9 ->
+      let agent = r_str c in
+      let channel = r_str c in
+      Message_received { time; agent; channel }
+  | 10 ->
+      let agent = r_str c in
+      let signal = r_str c in
+      Signal_raised { time; agent; signal }
+  | 11 -> Completed { time; agent = r_str c }
+  | 12 ->
+      let agent = r_str c in
+      let reason = r_str c in
+      Aborted { time; agent; reason }
+  | 13 -> Deadlocked { time; agent = r_str c }
+  | 14 ->
+      let agent = r_str c in
+      let fault = r_fault c in
+      let target = r_str c in
+      Fault_injected { time; agent; fault; target }
+  | 15 -> Server_down { time; server = r_str c }
+  | 16 -> Server_up { time; server = r_str c }
+  | 17 ->
+      let agent = r_str c in
+      let attempt = r_int c in
+      let at = r_q c in
+      Retry_scheduled { time; agent; attempt; at }
+  | 18 ->
+      let agent = r_str c in
+      let attempts = r_int c in
+      Gave_up { time; agent; attempts }
+  | 19 ->
+      let op = r_str c in
+      let version = r_int c in
+      Policy_changed { time; op; version }
+  | 20 -> Run_finished { time }
+  | k -> malformed "unknown event kind %d" k
+
 let decode_with read s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let r_u8 () =
-    if !pos >= n then raise (Fail Truncated)
-    else begin
-      let b = Char.code s.[!pos] in
-      incr pos;
-      b
-    end
-  in
-  let r_u32 () =
-    let a = r_u8 () in
-    let b = r_u8 () in
-    let c = r_u8 () in
-    let d = r_u8 () in
-    (a lsl 24) lor (b lsl 16) lor (c lsl 8) lor d
-  in
-  let r_str () =
-    let len = r_u32 () in
-    if len > n - !pos then raise (Fail Truncated)
-    else begin
-      let v = String.sub s !pos len in
-      pos := !pos + len;
-      v
-    end
-  in
-  let r_list r =
-    let count = r_u32 () in
-    (* an honest list of k elements needs at least k payload bytes;
-       reject absurd counts before allocating *)
-    if count > n - !pos then raise (Fail Truncated)
-    else List.init count (fun _ -> r ())
-  in
-  let r_q () =
-    let raw = r_str () in
-    match Q.of_string raw with
-    | q -> q
-    | exception _ -> raise (Fail (Malformed (Printf.sprintf "bad rational %S" raw)))
-  in
+  let c = { s; pos = 0 } in
   match
-    let v = r_u8 () in
+    let v = r_u8 c in
     if v <> version then raise (Fail (Bad_version v));
-    let value = read ~r_u8 ~r_u32 ~r_str ~r_list ~r_q in
-    if !pos <> n then
-      raise (Fail (Malformed (Printf.sprintf "%d trailing bytes" (n - !pos))));
+    let value = read c in
+    let rest = String.length s - c.pos in
+    if rest <> 0 then malformed "%d trailing bytes" rest;
     value
   with
   | value -> Ok value
   | exception Fail e -> Error e
 
-let r_access ~r_str () =
-  let op = Sral.Access.operation_of_name (r_str ()) in
-  let resource = r_str () in
-  let server = r_str () in
-  Sral.Access.make ~op ~resource ~server
-
 let decode_request s =
   decode_with
-    (fun ~r_u8 ~r_u32:_ ~r_str ~r_list ~r_q:_ ->
-      match r_u8 () with
+    (fun c ->
+      match r_u8 c with
       | 0 -> Ping
       | 1 ->
-          let object_id = r_str () in
-          let owner = r_str () in
-          let roles = r_list (fun () -> r_str ()) in
-          let text = r_str () in
+          let object_id = r_str c in
+          let owner = r_str c in
+          let roles = r_list c r_str in
+          let text = r_str c in
           let program =
             match Sral.Parser.program text with
             | ast -> ast
-            | exception _ ->
-                raise (Fail (Malformed (Printf.sprintf "bad program %S" text)))
+            | exception _ -> malformed "bad program %S" text
           in
           Register { object_id; owner; roles; program }
       | 2 ->
-          let object_id = r_str () in
-          let server = r_str () in
+          let object_id = r_str c in
+          let server = r_str c in
           Arrive { object_id; server }
-      | 3 -> Depart { object_id = r_str () }
+      | 3 -> Depart { object_id = r_str c }
       | 4 ->
-          let object_id = r_str () in
-          let access = r_access ~r_str () in
+          let object_id = r_str c in
+          let access = r_access c in
           Check { object_id; access }
       | 5 ->
-          let object_id = r_str () in
-          let role = r_str () in
+          let object_id = r_str c in
+          let role = r_str c in
           Activate { object_id; role }
       | 6 ->
-          let object_id = r_str () in
-          let team = r_str () in
+          let object_id = r_str c in
+          let team = r_str c in
           Join { object_id; team }
       | 7 -> Subscribe
       | t -> raise (Fail (Bad_tag t)))
     s
 
-let r_verdict ~r_u8 ~r_str ~r_q () : Obs.Verdict.t =
-  match r_u8 () with
-  | 0 -> Granted
-  | 1 -> Denied (Rbac_denied (r_str ()))
-  | 2 ->
-      let binding = r_str () in
-      let detail = r_str () in
-      Denied (Spatial_violation { binding; detail })
-  | 3 ->
-      let binding = r_str () in
-      let spent = r_q () in
-      Denied (Temporal_expired { binding; spent })
-  | 4 -> Denied (Not_active (r_str ()))
-  | 5 -> Denied Not_arrived
-  | 6 -> Denied (Server_unavailable (r_str ()))
-  | t -> raise (Fail (Malformed (Printf.sprintf "unknown verdict tag %d" t)))
-
 let decode_reply s =
   decode_with
-    (fun ~r_u8 ~r_u32 ~r_str ~r_list:_ ~r_q ->
-      match r_u8 () with
-      | 0 -> Ack { seq = r_u32 () }
+    (fun c ->
+      match r_u8 c with
+      | 0 -> Ack { seq = r_u32 c }
       | 1 ->
-          let seq = r_u32 () in
-          let verdict = r_verdict ~r_u8 ~r_str ~r_q () in
+          let seq = r_u32 c in
+          let verdict = r_verdict c in
           Verdict { seq; verdict }
       | 2 ->
-          let seq = r_u32 () in
-          let reason = r_str () in
+          let seq = r_u32 c in
+          let reason = r_str c in
           Rejected { seq; reason }
-      | 3 -> Shed { seq = r_u32 () }
-      | 4 -> (
-          let line = r_str () in
-          match Obs.Export.of_line line with
-          | Ok ev -> Event ev
-          | Error msg ->
-              raise (Fail (Malformed (Printf.sprintf "bad event: %s" msg))))
+      | 3 -> Shed { seq = r_u32 c }
+      | 4 -> Event (r_event c)
       | t -> raise (Fail (Bad_tag t)))
     s
 

@@ -6,10 +6,24 @@
     {!error} — never an exception — so a malicious peer can at worst be
     rejected.
 
+    Fields are written as a byte, a big-endian 32-bit unsigned integer,
+    a big-endian 64-bit signed integer, or a string (u32 length, then
+    the bytes).  A rational is two 64-bit integers, numerator then
+    denominator, and decodes only in normalized form ([den > 0],
+    [gcd |num| den = 1], both within the native int range); any other
+    pair is [Malformed], so every value has exactly one encoding.
+    Native ints ([Retry_scheduled.attempt], [Gave_up.attempts],
+    [Policy_changed.version]) are 64-bit and range-checked the same
+    way.  An [Event] reply carries one kind byte (the constructor's
+    position in {!Obs.Trace.event}, 0–20), the event time, then the
+    constructor's fields in declaration order; stages, faults and
+    booleans are one-byte codes.
+
     Encodings an operator can read instead live in the JSONL debug
     codec ({!request_to_line}/{!reply_to_line}), which reuses
     {!Obs.Export} for verdicts and trace events so service logs and
-    trace exports share one JSON dialect.
+    trace exports share one JSON dialect.  JSON never travels on the
+    wire.
 
     Caveat shared with {!Obs.Export}: an access whose operation is a
     {e standard} name under [Custom] (e.g. [Custom "read"]) decodes as
@@ -17,7 +31,8 @@
     accesses. *)
 
 val version : int
-(** Wire version carried in every payload's first byte; currently 1. *)
+(** Wire version carried in every payload's first byte; currently 2.
+    A payload of any other version decodes to [Bad_version]. *)
 
 type request =
   | Ping  (** liveness probe; answered with [Ack] *)
@@ -53,7 +68,8 @@ type error =
   | Bad_version of int
   | Bad_tag of int
   | Malformed of string
-      (** a field failed to parse (program text, ℚ, embedded JSON) or
+      (** a field failed to parse (program text, a non-normalized
+          rational, an out-of-range integer, an unknown code byte) or
           trailing bytes followed a complete payload *)
 
 val describe : error -> string

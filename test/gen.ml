@@ -7,9 +7,9 @@
 
      STACC_TEST_SEED=<n>  offsets every effective seed by <n>.
 
-   [each_seed] prints the effective seed (and the command to replay it)
-   whenever a case fails, so any failure from a shifted run is
-   reproducible with one environment variable. *)
+   [each_seed] and [qcheck] print the effective seed (and the command
+   to replay it) whenever a case fails, so any failure from a shifted
+   run is reproducible with one environment variable. *)
 
 let offset =
   match Sys.getenv_opt "STACC_TEST_SEED" with
@@ -46,6 +46,26 @@ let each_seed ?(salt = 0) ~count f =
         seed salt (repro_env seed);
       raise e
   done
+
+(* A QCheck property as an Alcotest case whose draws are fixed by
+   [salt] (one per suite) and the STACC_TEST_SEED offset, instead of
+   QCheck's fresh self-initialized seed, so a failing run replays. *)
+let qcheck ~salt test =
+  let seed = offset in
+  let rand = Random.State.make [| salt; seed |] in
+  let name, speed, run = QCheck_alcotest.to_alcotest ~rand test in
+  let run () =
+    try run ()
+    with e ->
+      Printf.eprintf
+        "\n\
+         [gen] property %S failed at effective seed %d (salt %d)\n\
+         [gen] reproduce with: %s dune runtest\n\
+         %!"
+        name seed salt (repro_env seed);
+      raise e
+  in
+  (name, speed, run)
 
 (* ------------------------------------------------------------------ *)
 (* Greedy counterexample shrinking                                     *)

@@ -109,6 +109,37 @@ let gen_request rng : Protocol.request =
   | 6 -> Join { object_id = gen_bytes rng; team = gen_bytes rng }
   | _ -> Subscribe
 
+let pick rng xs = List.nth xs (Random.State.int rng (List.length xs))
+
+(* a non-negative int anywhere in [0, max_int] *)
+let gen_big rng =
+  Random.State.bits rng
+  lor (Random.State.bits rng lsl 30)
+  lor ((Random.State.bits rng land 3) lsl 60)
+
+(* small, negative, huge and edge rationals; [Q.make] normalizes them *)
+let gen_q rng =
+  match Random.State.int rng 4 with
+  | 0 -> Q.make (Random.State.int rng 1000) (1 + Random.State.int rng 60)
+  | 1 -> Q.make (Random.State.int rng 200 - 100) (1 + Random.State.int rng 9)
+  | 2 ->
+      let num = gen_big rng in
+      let num = if Random.State.bool rng then -num else num in
+      Q.make num (1 + gen_big rng / 2)
+  | _ -> pick rng [ Q.zero; Q.of_int max_int; Q.of_int (-max_int); Q.make 1 max_int ]
+
+let gen_int rng =
+  match Random.State.int rng 3 with
+  | 0 -> Random.State.int rng 10
+  | 1 -> pick rng [ min_int; max_int; -1 ]
+  | _ -> gen_big rng - gen_big rng
+
+let gen_i64 rng =
+  match Random.State.int rng 3 with
+  | 0 -> pick rng [ Int64.min_int; Int64.max_int; 0L; -1L ]
+  | 1 -> Random.State.int64 rng 1_000_000L
+  | _ -> Int64.sub (Random.State.int64 rng Int64.max_int) (Random.State.int64 rng Int64.max_int)
+
 let gen_verdict rng : Obs.Verdict.t =
   match Random.State.int rng 7 with
   | 0 -> Granted
@@ -116,32 +147,100 @@ let gen_verdict rng : Obs.Verdict.t =
   | 2 ->
       Denied
         (Spatial_violation { binding = gen_bytes rng; detail = gen_bytes rng })
-  | 3 ->
-      Denied
-        (Temporal_expired
-           {
-             binding = gen_bytes rng;
-             spent =
-               Q.make (Random.State.int rng 1000) (1 + Random.State.int rng 60);
-           })
+  | 3 -> Denied (Temporal_expired { binding = gen_bytes rng; spent = gen_q rng })
   | 4 -> Denied (Not_active (gen_bytes rng))
   | 5 -> Denied Not_arrived
   | _ -> Denied (Server_unavailable (gen_bytes rng))
 
-let gen_event rng : Obs.Trace.event =
-  let time = Q.make (Random.State.int rng 100) (1 + Random.State.int rng 9) in
-  match Random.State.int rng 4 with
-  | 0 ->
+let all_stages = Obs.Trace.[ Rbac; Spatial; Temporal ]
+
+let all_faults =
+  Obs.Trace.
+    [
+      Server_unreachable;
+      Migration_failure;
+      Channel_drop;
+      Channel_delay;
+      Channel_duplicate;
+      Signal_loss;
+      Recv_timeout;
+    ]
+
+(* The wire kind byte of each constructor.  No wildcard: a new
+   constructor stops this suite compiling until it is given a kind
+   here, a case in [gen_event_of_kind], and so a roundtrip below. *)
+let kind_of : Obs.Trace.event -> int = function
+  | Stage_start _ -> 0
+  | Stage_end _ -> 1
+  | Cache_probe _ -> 2
+  | Decision _ -> 3
+  | Arrival _ -> 4
+  | Role_rejected _ -> 5
+  | Spawned _ -> 6
+  | Migrated _ -> 7
+  | Message_sent _ -> 8
+  | Message_received _ -> 9
+  | Signal_raised _ -> 10
+  | Completed _ -> 11
+  | Aborted _ -> 12
+  | Deadlocked _ -> 13
+  | Fault_injected _ -> 14
+  | Server_down _ -> 15
+  | Server_up _ -> 16
+  | Retry_scheduled _ -> 17
+  | Gave_up _ -> 18
+  | Policy_changed _ -> 19
+  | Run_finished _ -> 20
+
+let event_kinds = 21
+
+(* every constructor of [Obs.Trace.event], every stage and fault *)
+let gen_event_of_kind rng kind : Obs.Trace.event =
+  let time = gen_q rng in
+  let str () = gen_bytes rng in
+  match kind with
+  | 0 -> Stage_start { time; object_id = str (); stage = pick rng all_stages }
+  | 1 ->
+      Stage_end
+        {
+          time;
+          object_id = str ();
+          stage = pick rng all_stages;
+          ok = Random.State.bool rng;
+          elapsed_ns = gen_i64 rng;
+        }
+  | 2 -> Cache_probe { time; object_id = str (); hit = Random.State.bool rng }
+  | 3 ->
       Decision
         {
           time;
-          object_id = "o1";
-          access = Sral.Access.read "r1" ~at:"s1";
+          object_id = str ();
+          access = gen_access rng;
           verdict = gen_verdict rng;
         }
-  | 1 -> Arrival { time; object_id = "o1"; server = "s2" }
-  | 2 -> Aborted { time; agent = "conn-3"; reason = "overload-shed" }
+  | 4 -> Arrival { time; object_id = str (); server = str () }
+  | 5 -> Role_rejected { time; object_id = str (); role = str (); reason = str () }
+  | 6 -> Spawned { time; agent = str (); home = str () }
+  | 7 -> Migrated { time; agent = str (); from_ = str (); to_ = str () }
+  | 8 -> Message_sent { time; agent = str (); channel = str () }
+  | 9 -> Message_received { time; agent = str (); channel = str () }
+  | 10 -> Signal_raised { time; agent = str (); signal = str () }
+  | 11 -> Completed { time; agent = str () }
+  | 12 -> Aborted { time; agent = str (); reason = str () }
+  | 13 -> Deadlocked { time; agent = str () }
+  | 14 ->
+      Fault_injected
+        { time; agent = str (); fault = pick rng all_faults; target = str () }
+  | 15 -> Server_down { time; server = str () }
+  | 16 -> Server_up { time; server = str () }
+  | 17 ->
+      Retry_scheduled
+        { time; agent = str (); attempt = gen_int rng; at = gen_q rng }
+  | 18 -> Gave_up { time; agent = str (); attempts = gen_int rng }
+  | 19 -> Policy_changed { time; op = str (); version = gen_int rng }
   | _ -> Run_finished { time }
+
+let gen_event rng = gen_event_of_kind rng (Random.State.int rng event_kinds)
 
 let gen_reply rng : Protocol.reply =
   let seq = Random.State.int rng 0x3FFFFFFF in
@@ -182,6 +281,16 @@ let adversarial ~what ~decode bytes =
 
 let test_protocol_fuzz () =
   Gen.each_seed ~salt:81 ~count:40 (fun ~seed:_ rng ->
+      (* every event kind on every seed, then random replies *)
+      for kind = 0 to event_kinds - 1 do
+        let ev = gen_event_of_kind rng kind in
+        Alcotest.(check int) "generated kind" kind (kind_of ev);
+        let reply = Protocol.Event ev in
+        roundtrip ~what:"event" ~encode:Protocol.encode_reply
+          ~decode:Protocol.decode_reply reply;
+        adversarial ~what:"event" ~decode:Protocol.decode_reply
+          (Protocol.encode_reply reply)
+      done;
       for _ = 1 to 25 do
         let req = gen_request rng in
         roundtrip ~what:"request" ~encode:Protocol.encode_request
@@ -208,6 +317,98 @@ let test_protocol_bad_tag_and_trailing () =
   match Protocol.decode_request (Protocol.encode_request Ping ^ "junk") with
   | Error (Protocol.Malformed _) -> ()
   | _ -> Alcotest.fail "trailing bytes accepted"
+
+(* An event reply built by hand: version, tag 4, kind, then [fields]. *)
+let event_payload ~kind fields =
+  let buf = Buffer.create 32 in
+  Buffer.add_char buf (Char.chr Protocol.version);
+  Buffer.add_char buf '\004';
+  Buffer.add_char buf (Char.chr kind);
+  fields buf;
+  Buffer.contents buf
+
+let i64 buf v = Buffer.add_int64_be buf v
+let q_pair num den buf = i64 buf num; i64 buf den
+
+let test_protocol_event_layout () =
+  (* Stage_start at 3/2 for "o" in the spatial stage, byte for byte *)
+  let expected =
+    event_payload ~kind:0 (fun buf ->
+        q_pair 3L 2L buf;
+        Buffer.add_string buf "\000\000\000\001o";
+        Buffer.add_char buf '\001')
+  in
+  Alcotest.(check string) "stage_start layout" expected
+    (Protocol.encode_reply
+       (Event (Stage_start { time = Q.make 3 2; object_id = "o"; stage = Spatial })));
+  (* events carry no JSON and decode without it *)
+  match Protocol.decode_reply expected with
+  | Ok (Event (Stage_start { time; object_id = "o"; stage = Spatial }))
+    when Q.equal time (Q.make 3 2) ->
+      ()
+  | _ -> Alcotest.fail "stage_start did not decode"
+
+let expect_malformed what bytes =
+  match Protocol.decode_reply bytes with
+  | Error (Protocol.Malformed _) -> ()
+  | Error e -> Alcotest.failf "%s: wrong error %s" what (Protocol.describe e)
+  | Ok _ -> Alcotest.failf "%s: accepted" what
+  | exception e -> Alcotest.failf "%s: raised %s" what (Printexc.to_string e)
+
+let test_protocol_noncanonical_rejected () =
+  let run_finished num den = event_payload ~kind:20 (q_pair num den) in
+  List.iter
+    (fun (what, num, den) -> expect_malformed what (run_finished num den))
+    [
+      ("den = 0", 1L, 0L);
+      ("den < 0", 1L, -2L);
+      ("negative den, negative num", -1L, -1L);
+      ("2/4 not reduced", 2L, 4L);
+      ("0/2 not reduced", 0L, 2L);
+      ("num above max_int", Int64.max_int, 1L);
+      ("num below min_int", Int64.min_int, 1L);
+      ("den above max_int", 1L, Int64.max_int);
+      ("min_int over 3", Int64.of_int min_int, 3L);
+    ];
+  (* the canonical neighbours of those pairs decode *)
+  List.iter
+    (fun (num, den) ->
+      match Protocol.decode_reply (run_finished num den) with
+      | Ok (Event (Run_finished { time })) ->
+          Alcotest.(check (pair int int)) "canonical pair kept"
+            (Int64.to_int num, Int64.to_int den) (time.num, time.den)
+      | _ -> Alcotest.failf "canonical %Ld/%Ld rejected" num den)
+    [ (0L, 1L); (1L, 2L); (-3L, 7L); (Int64.of_int max_int, 1L); (Int64.of_int min_int, 1L) ];
+  (* a verdict's [spent] obeys the same rule *)
+  expect_malformed "verdict spent 2/4"
+    (let buf = Buffer.create 32 in
+     Buffer.add_string buf
+       (String.sub
+          (Protocol.encode_reply
+             (Verdict
+                {
+                  seq = 1;
+                  verdict = Denied (Temporal_expired { binding = "b"; spent = Q.one });
+                }))
+          0 12);
+     q_pair 2L 4L buf;
+     Buffer.contents buf);
+  (* unknown one-byte codes and out-of-range ints are typed too *)
+  let head buf = q_pair 0L 1L buf in
+  let str s buf =
+    Buffer.add_int32_be buf (Int32.of_int (String.length s));
+    Buffer.add_string buf s
+  in
+  expect_malformed "unknown kind" (event_payload ~kind:21 head);
+  expect_malformed "unknown stage"
+    (event_payload ~kind:0 (fun b -> head b; str "o" b; Buffer.add_char b '\003'));
+  expect_malformed "bool byte 2"
+    (event_payload ~kind:2 (fun b -> head b; str "o" b; Buffer.add_char b '\002'));
+  expect_malformed "unknown fault"
+    (event_payload ~kind:14 (fun b ->
+         head b; str "a" b; Buffer.add_char b '\007'; str "t" b));
+  expect_malformed "attempts out of range"
+    (event_payload ~kind:18 (fun b -> head b; str "a" b; i64 b Int64.max_int))
 
 (* --- server core --- *)
 
@@ -594,10 +795,101 @@ let test_unix_burst_and_reset () =
       Array.iter Net_unix.Client.close clients;
       Unix.close burst_fd)
 
+(* Connection 0 subscribes, then sends thousands of checks as one raw
+   nonblocking burst and reads nothing.  Its replies, events included,
+   outgrow the socket buffers, so the server's writes would block: they
+   must wait in the peer's pending output while connection 1, a
+   closed-loop client beside it, is served in full with replies
+   byte-identical to [Script.drive_direct].  Then the flooder drains
+   its socket and its replies match [drive_direct] too. *)
+let test_unix_stalled_reader () =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let base = Script.base_system () in
+  let flood =
+    [
+      Protocol.Subscribe;
+      Register
+        { object_id = "obj"; owner = user0; roles = [ role0 ]; program = Lazy.force a_program };
+      Arrive { object_id = "obj"; server = "s1" };
+    ]
+    @ List.init 6000 (fun i ->
+          let resource = Printf.sprintf "r%d" (1 + (i mod 3)) in
+          Protocol.Check
+            { object_id = "obj"; access = Sral.Access.read resource ~at:"s1" })
+  in
+  let others =
+    List.filter
+      (fun (e : Script.entry) -> e.conn = 1)
+      (Script.generate ~conns:2 ~requests:1200 ~seed:31 ())
+  in
+  let script =
+    List.map (fun req -> { Script.conn = 0; req }) flood @ others
+  in
+  let direct = Script.drive_direct ~base script in
+  let path = Filename.temp_file "stacc_stall" ".sock" in
+  let addr = Net_unix.Unix_path path in
+  let listener = Net_unix.listen addr in
+  let config = { Server.default_config with queue_capacity = max_int } in
+  let server = Server.create ~config ~base () in
+  Fun.protect ~finally:(fun () -> Net_unix.shutdown listener) (fun () ->
+      (* accept order = connect order: the flooder is conn 0 *)
+      let flood_fd = raw_connect path in
+      let client = Net_unix.Client.connect addr in
+      let burst = String.concat "" (List.map frame_req flood) in
+      let flood_off = ref 0 and steps = ref 0 in
+      let pump () =
+        incr steps;
+        if !steps > 100_000 then Alcotest.fail "socket exchange stalled";
+        flood_off := raw_write flood_fd burst !flood_off;
+        ignore (Net_unix.step listener ~server ~timeout:0.05)
+      in
+      (* phase 1: the flooder never reads *)
+      let got1 = ref [] and stalled = ref 0 in
+      List.iter
+        (fun (e : Script.entry) ->
+          Net_unix.Client.send client e.req;
+          let rec await () =
+            pump ();
+            if Net_unix.pending_output listener > 0 then incr stalled;
+            let replies = Net_unix.Client.drain client in
+            got1 := List.rev_append replies !got1;
+            if not (List.exists is_direct replies) then await ()
+          in
+          await ())
+        others;
+      Alcotest.(check bool) "the flooder's replies outgrew its socket" true
+        (!stalled > 0 && Net_unix.pending_output listener > 0);
+      Alcotest.(check bool) "flooder still connected" true
+        (Server.conn_alive server ~conn:0);
+      Alcotest.(check string) "neighbour's replies = drive_direct"
+        (Script.render [ (1, List.assoc 1 direct) ])
+        (Script.render [ (1, List.rev !got1) ]);
+      (* phase 2: the flooder drains *)
+      let dec = Frame.Decoder.create () in
+      let got0 = ref [] and unanswered = ref (List.length flood) in
+      while !unanswered > 0 do
+        pump ();
+        let replies = raw_drain flood_fd dec in
+        unanswered := !unanswered - List.length (List.filter is_direct replies);
+        got0 := List.rev_append replies !got0
+      done;
+      Alcotest.(check int) "nothing left pending" 0
+        (Net_unix.pending_output listener);
+      Alcotest.(check string) "flooder's replies = drive_direct"
+        (Script.render [ (0, List.assoc 0 direct) ])
+        (Script.render [ (0, List.rev !got0) ]);
+      Net_unix.Client.close client;
+      Unix.close flood_fd)
+
 (* --- normalized CLI exit codes (PR 8 satellite) --- *)
 
+(* run from the test's build directory, so the relative paths hold under
+   [dune exec test/test_service.exe] as well as under [dune runtest] *)
 let stacc args =
-  Sys.command (Printf.sprintf "../bin/stacc.exe %s >/dev/null 2>&1" args)
+  Sys.command
+    (Printf.sprintf "cd %s && ../bin/stacc.exe %s >/dev/null 2>&1"
+       (Filename.quote (Filename.dirname Sys.executable_name))
+       args)
 
 let test_cli_bad_usage_exits_2 () =
   let subcommands =
@@ -638,6 +930,10 @@ let () =
             test_protocol_fuzz;
           Alcotest.test_case "bad tag and trailing bytes" `Quick
             test_protocol_bad_tag_and_trailing;
+          Alcotest.test_case "event layout is binary" `Quick
+            test_protocol_event_layout;
+          Alcotest.test_case "non-canonical rationals are malformed" `Quick
+            test_protocol_noncanonical_rejected;
         ] );
       ( "server",
         [
@@ -666,6 +962,8 @@ let () =
           Alcotest.test_case "unix socket smoke" `Quick test_unix_transport;
           Alcotest.test_case "burst and resets = drive_direct" `Quick
             test_unix_burst_and_reset;
+          Alcotest.test_case "stalled reader, neighbour = drive_direct" `Quick
+            test_unix_stalled_reader;
         ] );
       ( "cli",
         [
